@@ -10,11 +10,6 @@ GO ?= go
 RACE_PKGS = ./internal/runner ./internal/harness ./internal/workload \
 	./internal/mem ./internal/ckpt ./internal/store
 
-# BSP core-parallel stepping under the race detector: worker counts > 1 on a
-# multi-core mix, plus the bound-error path. The full sim suite is too slow
-# under -race; these tests are the ones that actually run the worker pool.
-RACE_SIM = -run 'TestParallelWorkerCount|TestParallelEquivalenceOnError' ./internal/sim
-
 all: build
 
 build:
@@ -49,11 +44,9 @@ verify-full: build vet
 	$(GO) run ./cmd/bfetch-lint -compiler
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race $(RACE_SIM)
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race $(RACE_SIM)
 
 verify-race: race
 

@@ -7,7 +7,6 @@
 //	bfetch-bench -exp all -out results/
 //	bfetch-bench -exp fig9 -warmup 100000 -measure 300000 -mixes 29
 //	bfetch-bench -exp all -j 8            # 8 simulations in flight
-//	bfetch-bench -exp fig8 -seq           # sequential escape hatch
 //	bfetch-bench -exp all -store results/store   # durable artifact cache
 //	bfetch-bench -exp all -cpuprofile cpu.pprof
 //
@@ -30,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/emu"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -57,10 +55,6 @@ func run() error {
 		workloads  = flag.String("workloads", "", "comma-separated workload subset (default: all 18)")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		jobs       = flag.Int("j", 0, "simulations in flight (0 = GOMAXPROCS)")
-		seq        = flag.Bool("seq", false, "run simulations sequentially on one goroutine (escape hatch)")
-		simloop    = flag.String("simloop", "auto", "clock strategy: auto, event, or naive (escape hatch)")
-		emuloop    = flag.String("emuloop", "auto", "functional-emulation engine: auto, compiled, or interp (escape hatch)")
-		simpar     = flag.Int("simpar", 0, "core workers per simulation (bulk-synchronous parallel stepping; 0/1 = serial, results byte-identical)")
 		scaleCores = flag.String("scalecores", "", "comma-separated core counts for the scale experiment (default 2,4,8,16,64)")
 		storeDir   = flag.String("store", "", "durable artifact store directory: results and checkpoints are read from disk before computing, and written back after (shared across invocations and -j settings)")
 		benchJSON  = flag.String("benchjson", "", "write per-experiment simulation throughput to this JSON file")
@@ -93,25 +87,13 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	loop, err := sim.ParseLoopMode(*simloop)
-	if err != nil {
-		return err
-	}
-	exec, err := emu.ParseExecMode(*emuloop)
-	if err != nil {
-		return err
-	}
-	emu.DefaultExec = exec
-
 	eng := runner.New(*jobs)
-	if *seq {
-		eng = runner.NewSequential()
-	}
 	if *obsJSON != "" || *httpAddr != "" {
 		eng.SetRunReports(true)
 	}
 	var dstore *store.Store
 	if *storeDir != "" {
+		var err error
 		dstore, err = store.Open(*storeDir)
 		if err != nil {
 			return err
@@ -152,7 +134,7 @@ func run() error {
 				return s
 			},
 			func() obs.RunsFile {
-				return obs.RunsFile{Schema: obs.SchemaRuns, Loop: loop.String(), Runs: eng.RunReports()}
+				return obs.RunsFile{Schema: obs.SchemaRuns, Runs: eng.RunReports()}
 			},
 			hub)
 		if err != nil {
@@ -163,7 +145,7 @@ func run() error {
 	}
 
 	params := harness.DefaultParams()
-	params.Opts = sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure, Loop: loop, CoreWorkers: *simpar}
+	params.Opts = sim.RunOpts{FastForwardInsts: *ff, WarmupInsts: *warmup, MeasureInsts: *measure}
 	params.Mixes = *mixes
 	params.Runner = eng
 	if *workloads != "" {
@@ -197,9 +179,6 @@ func run() error {
 
 	var prev runner.Stats
 	var bench benchReport
-	bench.Loop = loop.String()
-	bench.EmuLoop = exec.String()
-	bench.CoreWorkers = *simpar
 	bench.Workers = eng.Workers()
 	bench.Store = *storeDir
 	for _, e := range todo {
@@ -267,7 +246,6 @@ func run() error {
 		f := obs.RunsFile{
 			Schema:    obs.SchemaRuns,
 			Generated: time.Now().UTC().Format(time.RFC3339),
-			Loop:      loop.String(),
 			Runs:      eng.RunReports(),
 		}
 		data, err := json.MarshalIndent(f, "", "  ")
@@ -302,15 +280,7 @@ func run() error {
 // -benchjson, tracking the simulator's performance trajectory across PRs.
 type benchReport struct {
 	Generated string `json:"generated"`
-	Loop      string `json:"loop"`
-	// EmuLoop and CoreWorkers record which functional-emulation engine and
-	// parallel-stepping setting produced the run: instrumented paths differ
-	// in throughput (fig3 drives the interpreter-observed path, fig7 the
-	// compiled one), so without this provenance a settings change reads as
-	// a performance regression.
-	EmuLoop     string `json:"emu_loop"`
-	CoreWorkers int    `json:"core_workers"`
-	Workers     int    `json:"workers"`
+	Workers   int    `json:"workers"`
 	// Store records the durable artifact store directory, empty when the run
 	// computed everything in-process. wall_seconds under a warm store measure
 	// disk reads, not simulation — the per-row store_state says which regime
@@ -330,13 +300,7 @@ type benchReport struct {
 // counters; experiments that compute without executing anything (tab1/tab2)
 // are marked analytic, so no row is silently degenerate.
 type benchExp struct {
-	ID string `json:"id"`
-	// Per-row provenance (duplicated from the report header so rows stay
-	// self-describing when files are merged or rows are compared across
-	// regenerations).
-	SimLoop        string  `json:"sim_loop"`
-	EmuLoop        string  `json:"emu_loop"`
-	CoreWorkers    int     `json:"core_workers"`
+	ID             string  `json:"id"`
 	WallSeconds    float64 `json:"wall_seconds"`
 	Sims           uint64  `json:"sims"`
 	CacheHits      uint64  `json:"cache_hits"`
@@ -395,9 +359,6 @@ func (b *benchReport) add(id string, wall time.Duration, prev, st runner.Stats) 
 	insts := st.SimInsts - prev.SimInsts
 	exp := benchExp{
 		ID:          id,
-		SimLoop:     b.Loop,
-		EmuLoop:     b.EmuLoop,
-		CoreWorkers: b.CoreWorkers,
 		WallSeconds: sec,
 		Sims:        st.Runs - prev.Runs,
 		CacheHits:   st.Hits - prev.Hits,

@@ -56,12 +56,12 @@ func benchWorkload(b *testing.B, name string) (*isa.Program, *mem.Memory) {
 	return prog, img
 }
 
-func benchEmu(b *testing.B, name string, mode emu.ExecMode) {
+func benchEmu(b *testing.B, name string, interp bool) {
 	prog, img := benchWorkload(b, name)
 	img.Freeze()
 	restart := func() *emu.CPU {
 		c := emu.New(prog, img.Fork())
-		c.Exec = mode
+		emu.SetInterp(c, interp)
 		return c
 	}
 	c := restart()
@@ -92,12 +92,12 @@ var emuBenchWorkloads = []string{"alu", "gamess", "mcf", "lbm"}
 
 func BenchmarkEmuInterp(b *testing.B) {
 	for _, name := range emuBenchWorkloads {
-		b.Run(name, func(b *testing.B) { benchEmu(b, name, emu.ExecInterp) })
+		b.Run(name, func(b *testing.B) { benchEmu(b, name, true) })
 	}
 }
 
 func BenchmarkEmuCompiled(b *testing.B) {
 	for _, name := range emuBenchWorkloads {
-		b.Run(name, func(b *testing.B) { benchEmu(b, name, emu.ExecCompiled) })
+		b.Run(name, func(b *testing.B) { benchEmu(b, name, false) })
 	}
 }

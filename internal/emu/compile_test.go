@@ -41,9 +41,8 @@ func TestCompiledMatchesInterpWorkloads(t *testing.T) {
 			t.Parallel()
 			prog, img := w.Build()
 			ic := emu.New(prog, img.Fork())
-			ic.Exec = emu.ExecInterp
+			emu.SetInterp(ic, true)
 			cc := emu.New(prog, img.Fork())
-			cc.Exec = emu.ExecCompiled
 
 			ni, ei := ic.Run(budget)
 			nc, ec := cc.Run(budget)
@@ -71,16 +70,12 @@ func TestCompiledEngineAlternation(t *testing.T) {
 	}
 	prog, img := w.Build()
 	ref := emu.New(prog, img.Fork())
-	ref.Exec = emu.ExecInterp
+	emu.SetInterp(ref, true)
 	mix := emu.New(prog, img.Fork())
 
 	var total uint64
 	for i, chunk := range []uint64{1, 3, 998, 41, 7, 5000, 1, 1, 2500} {
-		if i%2 == 0 {
-			mix.Exec = emu.ExecCompiled
-		} else {
-			mix.Exec = emu.ExecInterp
-		}
+		emu.SetInterp(mix, i%2 == 1)
 		if _, err := mix.Run(chunk); err != nil {
 			t.Fatal(err)
 		}
@@ -155,10 +150,9 @@ func TestCompiledMatchesInterpRandom(t *testing.T) {
 		img.Freeze()
 
 		ic := emu.New(prog, img.Fork())
-		ic.Exec = emu.ExecInterp
+		emu.SetInterp(ic, true)
 		ic.Regs = regs
 		cc := emu.New(prog, img.Fork())
-		cc.Exec = emu.ExecCompiled
 		cc.Regs = regs
 
 		// Chunked on the compiled side: odd chunk sizes exercise the
@@ -216,9 +210,8 @@ func TestCompiledFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ic := emu.New(tc.prog, mem.New())
-			ic.Exec = emu.ExecInterp
+			emu.SetInterp(ic, true)
 			cc := emu.New(tc.prog, mem.New())
-			cc.Exec = emu.ExecCompiled
 			if tc.prep != nil {
 				tc.prep(ic)
 				tc.prep(cc)
@@ -234,27 +227,8 @@ func TestCompiledFaults(t *testing.T) {
 	}
 }
 
-func TestParseExecMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want emu.ExecMode
-		err  bool
-	}{
-		{"auto", emu.ExecAuto, false},
-		{"", emu.ExecAuto, false},
-		{"interp", emu.ExecInterp, false},
-		{"compiled", emu.ExecCompiled, false},
-		{"fast", 0, true},
-	} {
-		got, err := emu.ParseExecMode(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("emu.ParseExecMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-}
-
 // TestOnRetireForcesInterp verifies the instrumentation contract: a hooked
-// CPU observes every retired instruction even when pinned to emu.ExecCompiled.
+// CPU observes every retired instruction even though unhooked runs compile.
 func TestOnRetireForcesInterp(t *testing.T) {
 	prog := isa.MustAssemble(`
 		movi r1, 5
@@ -264,7 +238,6 @@ func TestOnRetireForcesInterp(t *testing.T) {
 		halt
 	`)
 	c := emu.New(prog, mem.New())
-	c.Exec = emu.ExecCompiled
 	var seen int
 	c.OnRetire = func(r emu.Retire) { seen++ }
 	n, err := c.Run(1000)

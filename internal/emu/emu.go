@@ -40,9 +40,9 @@ type CPU struct {
 	// CPU always runs on the interpreter (DESIGN.md §5d).
 	OnRetire func(r Retire)
 
-	// Exec selects the execution engine for Run. The zero value ExecAuto
-	// resolves to DefaultExec (compiled, unless -emuloop overrides it).
-	Exec ExecMode
+	// interp pins Run to the Step interpreter. Only the differential tests
+	// set it (export_test.go); every other unhooked run is compiled.
+	interp bool //bfetch:noreset configuration
 }
 
 // New returns a CPU at the program entry with zeroed registers.
@@ -202,9 +202,8 @@ func (c *CPU) Step() error {
 // a clean halt.
 //
 // Run dispatches to the threaded-code engine (Compile) unless the CPU is
-// instrumented with OnRetire or pinned to the interpreter via Exec /
-// DefaultExec; both engines maintain the same architectural state machine,
-// so runs may even alternate engines mid-program.
+// instrumented with OnRetire; both engines maintain the same architectural
+// state machine, so runs may even alternate engines mid-program.
 func (c *CPU) Run(maxInsts uint64) (uint64, error) {
 	if c.useCompiled() {
 		return Compile(c.Prog).run(c, maxInsts)

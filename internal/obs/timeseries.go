@@ -8,7 +8,7 @@ package obs
 // simulated-cycle boundary it samples (registry scalars are simulation
 // state), and the ring's shape (row count, spacing) is a pure function of
 // how many boundaries have been sampled. Neither depends on wall time,
-// worker count, or which simulation loop drives the system — so the emitted
+// -j worker count, or which simulation loop drives the system — so the emitted
 // TimeSeriesData is bit-identical across -j values and naive-vs-event
 // loops, provided the driver samples every boundary exactly once (the sim
 // loops' contract, tested in internal/sim).

@@ -180,8 +180,8 @@ func New(workers int) *Engine {
 }
 
 // NewSequential returns an Engine that executes every job inline on the
-// caller's goroutine — the escape hatch for debugging and for hosts where
-// background goroutines are unwelcome. The cache still applies.
+// caller's goroutine: bfetch-sim's single -store run and the tests' -j 1
+// reference use it. The cache still applies.
 func NewSequential() *Engine {
 	e := New(1)
 	e.seq = true
@@ -190,9 +190,6 @@ func NewSequential() *Engine {
 
 // Workers reports the pool size (1 for sequential engines).
 func (e *Engine) Workers() int { return e.workers }
-
-// Sequential reports whether jobs execute inline on the caller's goroutine.
-func (e *Engine) Sequential() bool { return e.seq }
 
 // SetCache enables or disables result memoization (enabled by default).
 // Disabling does not drop already-cached results; it only stops lookups

@@ -3,7 +3,7 @@ package sim
 // CPI-stack and time-series contracts at system scale: the exact-partition
 // invariant (every counted cycle lands in exactly one bucket) for every
 // engine under both clock loops, solo and on the 16-core banked mix, and the
-// interval sampler's bit-identity across loop modes and core-worker counts.
+// interval sampler's bit-identity across the two clock loops.
 
 import (
 	"reflect"
@@ -38,14 +38,12 @@ func TestCPIStackExactPartition(t *testing.T) {
 			cfg := Default(kind)
 			cfg.CPU.CPIStack = true
 			var runs []Result
-			for _, loop := range []LoopMode{LoopNaive, LoopEvent} {
-				opts := eqOpts
-				opts.Loop = loop
-				res, err := Run(cfg, []string{"mcf"}, opts)
+			for _, naive := range []bool{true, false} {
+				res, err := runLoop(cfg, []string{"mcf"}, eqOpts, naive)
 				if err != nil {
-					t.Fatalf("loop %v: %v", loop, err)
+					t.Fatalf("loop %s: %v", loopName(naive), err)
 				}
-				checkPartition(t, loop.String(), res)
+				checkPartition(t, loopName(naive), res)
 				runs = append(runs, res)
 			}
 			if !reflect.DeepEqual(runs[0], runs[1]) {
@@ -59,7 +57,8 @@ func TestCPIStackExactPartition(t *testing.T) {
 // TestCPIStackExactPartitionBankedMix extends the invariant to the 16-core
 // scale-out system — banked LLC with MSHRs, channeled DRAM — where the
 // queueing buckets (llc_bank_queue, mshr, dram_chan_queue) actually charge,
-// for every engine under both loops and under BSP parallel stepping.
+// for every engine under both loops. The loops' full Results — counters,
+// metrics, lifecycle — must match bit for bit.
 func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -70,28 +69,16 @@ func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 			cfg := DefaultScale(kind, len(mix16))
 			cfg.CPU.CPIStack = true
 			var runs []Result
-			for _, loop := range []LoopMode{LoopNaive, LoopEvent} {
-				opts := parOpts
-				opts.Loop = loop
-				res, err := Run(cfg, mix16, opts)
+			for _, naive := range []bool{true, false} {
+				res, err := runLoop(cfg, mix16, parOpts, naive)
 				if err != nil {
-					t.Fatalf("loop %v: %v", loop, err)
+					t.Fatalf("loop %s: %v", loopName(naive), err)
 				}
-				checkPartition(t, loop.String(), res)
+				checkPartition(t, loopName(naive), res)
 				runs = append(runs, res)
 			}
 			if !reflect.DeepEqual(runs[0], runs[1]) {
 				t.Errorf("attributed mix snapshots diverge across loops")
-			}
-			opts := parOpts
-			opts.CoreWorkers = 5
-			par, err := Run(cfg, mix16, opts)
-			if err != nil {
-				t.Fatalf("parallel stepping: %v", err)
-			}
-			checkPartition(t, "parallel", par)
-			if !reflect.DeepEqual(runs[0], par) {
-				t.Errorf("attributed snapshot diverges under parallel stepping")
 			}
 		})
 	}
@@ -99,9 +86,9 @@ func TestCPIStackExactPartitionBankedMix(t *testing.T) {
 
 // TestTimeSeriesDeterminism pins the sampler's contract: the emitted
 // TimeSeriesData — row values, row count, spacing after merge-downsampling —
-// is bit-identical across naive-vs-event loops and across core-worker
-// counts, on the contended 16-core system where the loops' idle-crediting
-// and gap-skipping differ most.
+// is bit-identical across naive-vs-event loops and repeated runs, on the
+// contended 16-core system where the loops' idle-crediting and gap-skipping
+// differ most.
 func TestTimeSeriesDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -125,26 +112,14 @@ func TestTimeSeriesDeterminism(t *testing.T) {
 		t.Logf("note: run short enough that no downsampling occurred (interval still %d)", base.TS.Interval)
 	}
 
-	for _, v := range []struct {
-		name    string
-		loop    LoopMode
-		workers int
-	}{
-		{"event-serial", LoopEvent, 0},
-		{"naive-serial", LoopNaive, 0},
-		{"event-par8", LoopEvent, 8},
-		{"naive-par8", LoopNaive, 8},
-	} {
-		opts := parOpts
-		opts.Loop = v.loop
-		opts.CoreWorkers = v.workers
-		res, err := Run(cfg, mix16, opts)
+	for _, naive := range []bool{false, true} {
+		res, err := runLoop(cfg, mix16, parOpts, naive)
 		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%s: %v", loopName(naive), err)
 		}
 		if !reflect.DeepEqual(base.TS, res.TS) {
 			t.Errorf("%s: time series diverges from baseline\nbase:  %+v\ngot:   %+v",
-				v.name, base.TS, res.TS)
+				loopName(naive), base.TS, res.TS)
 		}
 	}
 }

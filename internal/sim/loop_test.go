@@ -17,10 +17,35 @@ import (
 // exercise warmup, ResetStats, squashes, and DRAM contention.
 var eqOpts = RunOpts{WarmupInsts: 10_000, MeasureInsts: 40_000}
 
-func runWithLoop(t *testing.T, cfg Config, apps []string, opts RunOpts, mode LoopMode) (Result, error) {
-	t.Helper()
-	opts.Loop = mode
-	return Run(cfg, apps, opts)
+// mix16 tiles eight memory-diverse workloads twice: the 16-core CMP mix the
+// scale-out engine targets. Every core is active the whole run, so the
+// banked LLC and the channeled DRAM see sustained same-cycle contention.
+var mix16 = []string{
+	"mcf", "lbm", "milc", "astar", "libquantum", "soplex", "sphinx", "leslie3d",
+	"mcf", "lbm", "milc", "astar", "libquantum", "soplex", "sphinx", "leslie3d",
+}
+
+// parOpts is small enough to sweep seven engines on both loops but long
+// enough to fill the port queues, bank MSHRs and DRAM channel slots.
+var parOpts = RunOpts{WarmupInsts: 2_000, MeasureInsts: 6_000}
+
+// runLoop is Run on the chosen clock loop: the naive reference loop when
+// naive is set, the event loop every other run takes otherwise.
+func runLoop(cfg Config, apps []string, opts RunOpts, naive bool) (Result, error) {
+	s, err := NewForRun(cfg, apps, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	s.naive = naive
+	return runProtocol(s, opts)
+}
+
+// loopName labels a runLoop leg in failure messages.
+func loopName(naive bool) string {
+	if naive {
+		return "naive"
+	}
+	return "event"
 }
 
 // TestLoopEquivalence is the event-driven clock's contract: for every
@@ -43,8 +68,8 @@ func TestLoopEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			naive, errN := runWithLoop(t, tc.cfg, tc.apps, eqOpts, LoopNaive)
-			event, errE := runWithLoop(t, tc.cfg, tc.apps, eqOpts, LoopEvent)
+			naive, errN := runLoop(tc.cfg, tc.apps, eqOpts, true)
+			event, errE := runLoop(tc.cfg, tc.apps, eqOpts, false)
 			if (errN == nil) != (errE == nil) {
 				t.Fatalf("error mismatch: naive %v, event %v", errN, errE)
 			}
@@ -60,28 +85,39 @@ func TestLoopEquivalence(t *testing.T) {
 
 // TestLoopEquivalenceOnError checks the cycle-bound path: when a run cannot
 // reach its instruction budget, both loops must fail with the same error and
-// identical partial counters.
+// identical partial counters — solo, and on a 4-core banked mix where the
+// error names the furthest-lagging core.
 func TestLoopEquivalenceOnError(t *testing.T) {
-	run := func(mode LoopMode) (Result, error) {
-		s, err := buildSystem(Default(PFNone), []string{"libquantum"})
-		if err != nil {
-			t.Fatal(err)
+	cases := []struct {
+		cfg       Config
+		apps      []string
+		maxCycles uint64
+	}{
+		{Default(PFNone), []string{"libquantum"}, 50_000},
+		{DefaultScale(PFNone, 4), []string{"libquantum", "mcf", "milc", "lbm"}, 30_000},
+	}
+	for _, tc := range cases {
+		run := func(naive bool) (Result, error) {
+			s, err := buildSystem(tc.cfg, tc.apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.naive = naive
+			err = s.Run(1<<40, tc.maxCycles) // unreachable budget: must hit the bound
+			return s.Snapshot(), err
 		}
-		s.Loop = mode
-		err = s.Run(1<<40, 50_000) // unreachable budget: must hit the bound
-		return s.Snapshot(), err
-	}
 
-	naive, errN := run(LoopNaive)
-	event, errE := run(LoopEvent)
-	if errN == nil || errE == nil {
-		t.Fatalf("expected both loops to hit the cycle bound (naive %v, event %v)", errN, errE)
-	}
-	if errN.Error() != errE.Error() {
-		t.Errorf("error text diverges:\nnaive: %v\nevent: %v", errN, errE)
-	}
-	if !reflect.DeepEqual(naive, event) {
-		t.Errorf("partial snapshots diverge\nnaive: %+v\nevent: %+v", naive, event)
+		naive, errN := run(true)
+		event, errE := run(false)
+		if errN == nil || errE == nil {
+			t.Fatalf("%v: expected both loops to hit the cycle bound (naive %v, event %v)", tc.apps, errN, errE)
+		}
+		if errN.Error() != errE.Error() {
+			t.Errorf("%v: error text diverges:\nnaive: %v\nevent: %v", tc.apps, errN, errE)
+		}
+		if !reflect.DeepEqual(naive, event) {
+			t.Errorf("%v: partial snapshots diverge\nnaive: %+v\nevent: %+v", tc.apps, naive, event)
+		}
 	}
 }
 
