@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale bench-json obs-smoke store-smoke clean
+.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale perf obs-smoke store-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -78,16 +78,14 @@ bench-scale:
 	$(GO) run ./cmd/bfetch-bench -exp scale -scalecores 8,16 \
 		-ff 20000 -warmup 5000 -measure 20000 -q
 
-# Refresh the machine-readable simulation-throughput record. Four workers is
-# the recorded-baseline setting: parallel enough to exercise the caches,
-# small enough that per-experiment wall times stay comparable across hosts.
-# The store directory is wiped first so the recorded rows are always a cold
-# run (store_state "cold") — a warm store would turn the throughput numbers
-# into disk-read numbers. The populated store is left behind for reuse.
-bench-json:
-	rm -rf results/store
-	$(GO) run ./cmd/bfetch-bench -exp all -q -benchjson BENCH_sim.json -j 4 \
-		-store results/store
+# The repo benchmark (BENCHMARK.json): each workload once at seed 1 for
+# 30 s, untraced. Each run prints a facts line (result_digest, provenance)
+# and a result line (end-to-end metrics, failed operations); see
+# perfbench/METRICS.md.
+perf:
+	for w in core-bound cmp16-mem fig8-sweep; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
+	done
 
 # Observability smoke test: tiny batch with the live -http endpoint up,
 # scrape it, and validate every obs JSON document against its schema.

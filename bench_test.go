@@ -199,9 +199,8 @@ func BenchmarkAblations(b *testing.B) {
 //
 // The serial/parallel pair tracks the experiment engine's scaling in the
 // perf trajectory: same fig8 workload grid, one goroutine vs GOMAXPROCS.
-// Each iteration gets a fresh engine and baseline store so the run-cache
-// cannot turn later iterations into lookups — the pair measures execution,
-// not memoization.
+// Each iteration gets a fresh engine so the run-cache cannot turn later
+// iterations into lookups — the pair measures execution, not memoization.
 
 func benchEngine(b *testing.B, mkEngine func() *runner.Engine) {
 	b.Helper()
@@ -212,7 +211,6 @@ func benchEngine(b *testing.B, mkEngine func() *runner.Engine) {
 	for i := 0; i < b.N; i++ {
 		p := benchParams()
 		p.Runner = mkEngine()
-		p.Baselines = harness.NewBaselineStore()
 		if _, err := e.Run(p); err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +218,7 @@ func benchEngine(b *testing.B, mkEngine func() *runner.Engine) {
 }
 
 func BenchmarkRunnerSerial(b *testing.B) {
-	benchEngine(b, runner.NewSequential)
+	benchEngine(b, func() *runner.Engine { return runner.New(1) })
 }
 
 func BenchmarkRunnerParallel(b *testing.B) {

@@ -161,8 +161,8 @@ func TestDRAMBandwidthGate(t *testing.T) {
 	if c != 1200 {
 		t.Errorf("drained fill = %d", c)
 	}
-	if d.Transfers() != 3 {
-		t.Errorf("transfers = %d", d.Transfers())
+	if n := d.Stats().Transfers(); n != 3 {
+		t.Errorf("transfers = %d", n)
 	}
 }
 

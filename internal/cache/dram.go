@@ -51,6 +51,21 @@ type dramChannel struct {
 	busyCycles  uint64 // data-bus occupancy (transfers × CyclesPerFill)
 }
 
+// DRAMStats is a snapshot of the controller's timing parameters and
+// aggregate traffic counters: what a run result carries, without the live
+// model's channel occupancy state.
+type DRAMStats struct {
+	Latency       uint64
+	CyclesPerFill uint64
+	DemandFills   uint64
+	PrefetchFills uint64
+	Writebacks    uint64
+	StallCycles   uint64
+}
+
+// Transfers returns the total block transfers the controller carried.
+func (s DRAMStats) Transfers() uint64 { return s.DemandFills + s.PrefetchFills + s.Writebacks }
+
 // ChannelStats is a read-only snapshot of one channel's counters.
 type ChannelStats struct {
 	Transfers   uint64
@@ -95,14 +110,24 @@ func (d *DRAM) Channels() int {
 	return len(d.chans)
 }
 
+// Stats returns the controller's timing parameters and aggregate counters.
+func (d *DRAM) Stats() DRAMStats {
+	return DRAMStats{
+		Latency: d.Latency, CyclesPerFill: d.CyclesPerFill,
+		DemandFills: d.DemandFills, PrefetchFills: d.PrefetchFills,
+		Writebacks: d.Writebacks, StallCycles: d.StallCycles,
+	}
+}
+
 // ChannelSnapshot returns channel i's counters. For the single-channel
 // default, channel 0 aliases the aggregate counters.
 func (d *DRAM) ChannelSnapshot(i int) ChannelStats {
 	if d.chans == nil {
+		xfers := d.Stats().Transfers()
 		return ChannelStats{
-			Transfers:   d.Transfers(),
+			Transfers:   xfers,
 			StallCycles: d.StallCycles,
-			BusyCycles:  d.Transfers() * d.CyclesPerFill,
+			BusyCycles:  xfers * d.CyclesPerFill,
 		}
 	}
 	c := &d.chans[i]
@@ -176,9 +201,6 @@ func (d *DRAM) Access(req Request, now uint64) uint64 {
 	}
 	return start + d.Latency
 }
-
-// Transfers returns the total block transfers the controller carried.
-func (d *DRAM) Transfers() uint64 { return d.DemandFills + d.PrefetchFills + d.Writebacks }
 
 // ResetStats zeroes the traffic counters and channel occupancy at a
 // measurement-window boundary. The clock is monotonic across the boundary,

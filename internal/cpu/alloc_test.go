@@ -6,6 +6,7 @@ package cpu
 // statically; this is the dynamic witness.
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/branch"
@@ -79,9 +80,30 @@ func newAllocCoreCfg(cfg Config, prog *isa.Program, m *mem.Memory, mk mkPrefetch
 	return c
 }
 
+// mallocs counts the heap allocations n calls of f make, exactly: the
+// runtime's cumulative malloc count across the window at GOMAXPROCS 1.
+// testing.AllocsPerRun divides that count by n, so it reads 0 for anything
+// under one allocation per call. The minimum over three consecutive windows
+// absorbs a stray allocation by the runtime itself.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var ms runtime.MemStats
+	best := ^uint64(0)
+	for w := 0; w < 3; w++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < n; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.Mallocs-before)
+	}
+	return best
+}
+
 // TestCycleZeroAlloc drives the full core — fetch through commit, cache
 // hierarchy, prefetcher tick, feedback — and requires a steady state of zero
-// heap allocations per cycle for every engine.
+// heap allocations over a 2000-cycle window for every engine.
 func TestCycleZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -101,12 +123,12 @@ func TestCycleZeroAlloc(t *testing.T) {
 			if c.Halted() {
 				t.Fatal("core halted during warmup")
 			}
-			avg := testing.AllocsPerRun(2000, func() {
+			n := mallocs(2000, func() {
 				c.Cycle(now)
 				now++
 			})
-			if avg != 0 {
-				t.Errorf("Cycle with %s engine: %.3f allocs/cycle, want 0", eng.name, avg)
+			if n != 0 {
+				t.Errorf("Cycle with %s engine: %d allocs per 2000 cycles, want 0", eng.name, n)
 			}
 		})
 	}
@@ -137,12 +159,12 @@ func TestCycleZeroAllocCPIStack(t *testing.T) {
 			if c.Halted() {
 				t.Fatal("core halted during warmup")
 			}
-			avg := testing.AllocsPerRun(2000, func() {
+			n := mallocs(2000, func() {
 				c.Cycle(now)
 				now++
 			})
-			if avg != 0 {
-				t.Errorf("Cycle with %s engine + CPI attribution: %.3f allocs/cycle, want 0", eng.name, avg)
+			if n != 0 {
+				t.Errorf("Cycle with %s engine + CPI attribution: %d allocs per 2000 cycles, want 0", eng.name, n)
 			}
 			if total := c.Stats.CPI.Total(); total != c.Stats.Cycles {
 				t.Errorf("CPI buckets sum to %d, want exactly Cycles = %d", total, c.Stats.Cycles)
@@ -184,8 +206,8 @@ func TestAppendTickZeroAlloc(t *testing.T) {
 			for i := 0; i < 20_000; i++ {
 				step()
 			}
-			if avg := testing.AllocsPerRun(2000, step); avg != 0 {
-				t.Errorf("%s AppendTick: %.3f allocs/tick, want 0", eng.name, avg)
+			if n := mallocs(2000, step); n != 0 {
+				t.Errorf("%s AppendTick: %d allocs per 2000 ticks, want 0", eng.name, n)
 			}
 		})
 	}

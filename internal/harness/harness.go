@@ -37,25 +37,21 @@ type Params struct {
 	// Log, when non-nil, receives progress lines. Writes are serialized, so
 	// sharing one writer across concurrent experiments is safe.
 	Log io.Writer
-	// Runner executes simulation batches. nil gives each experiment a fresh
-	// GOMAXPROCS-wide engine; share one Engine across experiments (as
-	// cmd/bfetch-bench does) to also share its memoized results, so e.g.
-	// fig1 and fig8 simulate their common Stride/SMS points once.
+	// Runner executes simulation batches and memoizes their results, so
+	// experiments run from one Params (or one shared Engine, as
+	// cmd/bfetch-bench does) simulate each common point once — above all the
+	// no-prefetch baseline every speedup figure divides by. nil gives each
+	// experiment a fresh GOMAXPROCS-wide engine.
 	Runner *runner.Engine
-	// Baselines shares no-prefetch baseline results across experiments at
-	// the API level — independent of the runner cache, so even sequential
-	// or cache-disabled runs compute each baseline point once. nil disables
-	// cross-experiment sharing (each speedups call still runs its baseline
-	// only once).
-	Baselines *BaselineStore
 }
 
-// DefaultParams mirrors the paper's protocol at simulation-friendly scale.
+// DefaultParams mirrors the paper's protocol at simulation-friendly scale,
+// on one GOMAXPROCS-wide engine shared by every experiment run from it.
 func DefaultParams() Params {
 	return Params{
-		Opts:      sim.DefaultRunOpts(),
-		Mixes:     29,
-		Baselines: NewBaselineStore(),
+		Opts:   sim.DefaultRunOpts(),
+		Mixes:  29,
+		Runner: runner.New(0),
 	}
 }
 
@@ -132,78 +128,28 @@ func ByID(id string) (Experiment, error) {
 
 // ----------------------------------------------------------------- shared --
 
-// BaselineStore memoizes baseline simulation results per (config, workload,
-// protocol) point across experiments. Figures 1, 8, 12, 14 and 15 and the
-// mix experiments all normalize to the same no-prefetch baseline; one store
-// per bfetch-bench invocation makes them share a single result set even
-// when the runner's own cache is bypassed.
-type BaselineStore struct {
-	mu sync.Mutex
-	m  map[string]sim.Result
-}
-
-// NewBaselineStore returns an empty store.
-func NewBaselineStore() *BaselineStore {
-	return &BaselineStore{m: make(map[string]sim.Result)}
-}
-
-func (s *BaselineStore) get(key string) (sim.Result, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.m[key]
-	return r, ok
-}
-
-func (s *BaselineStore) put(key string, r sim.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[key] = r
-}
-
-// Len reports how many baseline points are stored.
-func (s *BaselineStore) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
-// baselineResults returns cfg's solo result for each named workload,
-// consulting the shared store first and batching only the missing points
-// through the engine.
+// baselineResults returns cfg's solo result for each named workload, as one
+// batch through the engine (whose run-cache answers points an earlier
+// experiment already simulated).
 func (p Params) baselineResults(cfg sim.Config, names []string) ([]sim.Result, error) {
-	out := make([]sim.Result, len(names))
-	keys := make([]string, len(names))
-	var missing []int
-	var jobs []runner.Job
+	jobs := make([]runner.Job, len(names))
 	for i, name := range names {
-		if p.Baselines != nil {
-			if key, ok := runner.Fingerprint(cfg, []string{name}, p.Opts); ok {
-				keys[i] = key
-				if r, hit := p.Baselines.get(key); hit {
-					out[i] = r
-					continue
-				}
-			}
-		}
-		missing = append(missing, i)
-		jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
+		jobs[i] = runner.Solo(cfg, name, p.Opts)
 	}
 	outs := p.engine().RunAll(jobs)
-	for k, i := range missing {
-		if err := outs[k].Err; err != nil {
-			return nil, fmt.Errorf("baseline on %s: %w", names[i], err)
+	out := make([]sim.Result, len(names))
+	for i, o := range outs {
+		if o.Err != nil {
+			return nil, fmt.Errorf("baseline on %s: %w", names[i], o.Err)
 		}
-		out[i] = outs[k].Result
-		if p.Baselines != nil && keys[i] != "" {
-			p.Baselines.put(keys[i], outs[k].Result)
-		}
+		out[i] = o.Result
 	}
 	return out, nil
 }
 
 // speedups measures per-workload speedups of each configuration over the
-// baseline configuration. All points are submitted as one batch — baseline
-// results come from the shared store — and the result is assembled in
+// baseline configuration. The configurations' points are submitted as one
+// batch after the baseline's, and the result is assembled in
 // submission order, indexed [config][workload order]. The second return is
 // each configuration's prefetch lifecycle breakdown summed over workloads,
 // for the accuracy/coverage/timeliness table every speedup figure emits.

@@ -30,7 +30,6 @@ func runWith(t *testing.T, id string, eng *runner.Engine, log *bytes.Buffer) str
 		Workloads: []string{"libquantum", "gamess", "mcf"},
 		Mixes:     2,
 		Runner:    eng,
-		Baselines: NewBaselineStore(),
 	}
 	if log != nil {
 		p.Log = log
@@ -49,7 +48,7 @@ func runWith(t *testing.T, id string, eng *runner.Engine, log *bytes.Buffer) str
 func TestParallelTablesMatchSequential(t *testing.T) {
 	for _, id := range []string{"fig8", "fig9", "fig11", "fig13", "fig14", "fig3", "fig7"} {
 		var seqLog, parLog bytes.Buffer
-		seq := runWith(t, id, runner.NewSequential(), &seqLog)
+		seq := runWith(t, id, runner.New(1), &seqLog)
 		par := runWith(t, id, runner.New(8), &parLog)
 		if seq != par {
 			t.Errorf("%s: parallel tables differ from sequential\n--- seq ---\n%s--- par ---\n%s", id, seq, par)
@@ -69,7 +68,6 @@ func TestCrossExperimentCacheHits(t *testing.T) {
 		Opts:      sim.RunOpts{WarmupInsts: 5_000, MeasureInsts: 10_000},
 		Workloads: []string{"libquantum", "gamess"},
 		Runner:    eng,
-		Baselines: NewBaselineStore(),
 	}
 	for _, id := range []string{"fig1", "fig8"} {
 		e, err := ByID(id)
@@ -87,17 +85,16 @@ func TestCrossExperimentCacheHits(t *testing.T) {
 	}
 }
 
-func TestBaselineStoreSharesAcrossExperimentsWithoutCache(t *testing.T) {
-	// With the runner cache disabled on a sequential engine, the baseline
-	// store must still keep the second experiment from re-simulating the
-	// shared no-prefetch baseline points.
-	eng := runner.NewSequential()
-	eng.SetCache(false)
+func TestBaselineSharedAcrossExperiments(t *testing.T) {
+	// fig8 and fig12 normalize to the same no-prefetch baseline, and fig12's
+	// default-threshold B-Fetch series is fig8's B-Fetch series: one engine
+	// must answer both from its run-cache, leaving fig12 only its two
+	// non-default thresholds to simulate.
+	eng := runner.New(1)
 	p := Params{
 		Opts:      sim.RunOpts{WarmupInsts: 5_000, MeasureInsts: 10_000},
 		Workloads: []string{"libquantum", "gamess"},
 		Runner:    eng,
-		Baselines: NewBaselineStore(),
 	}
 	run := func(id string) {
 		e, err := ByID(id)
@@ -110,13 +107,14 @@ func TestBaselineStoreSharesAcrossExperimentsWithoutCache(t *testing.T) {
 	}
 	run("fig8")
 	afterFirst := eng.Stats().Runs
-	if p.Baselines.Len() != len(p.Workloads) {
-		t.Fatalf("baseline store holds %d points, want %d", p.Baselines.Len(), len(p.Workloads))
+	// Baseline plus Stride, SMS and B-Fetch, on each of 2 workloads.
+	if afterFirst != 8 {
+		t.Fatalf("fig8 ran %d sims, want 8", afterFirst)
 	}
 	run("fig12")
-	// fig12 needs 3 threshold configs × 2 workloads = 6 new runs; its 2
-	// baseline points must come from the store.
-	if got := eng.Stats().Runs - afterFirst; got != 6 {
-		t.Errorf("fig12 ran %d sims with cache off, want 6 (baselines from the store)", got)
+	// 2 non-default thresholds × 2 workloads; the baseline and the
+	// default-threshold points are run-cache hits.
+	if got := eng.Stats().Runs - afterFirst; got != 4 {
+		t.Errorf("fig12 ran %d new sims after fig8, want 4 (baselines and the default threshold from the run-cache)", got)
 	}
 }

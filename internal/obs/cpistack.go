@@ -20,7 +20,7 @@ package obs
 type CPIBucket uint8
 
 // Bucket order is part of the report format: CPIBucketNames, registry metric
-// order, and the benchjson cpi_* columns all follow it.
+// order, and the cpistack experiment's columns all follow it.
 const (
 	CPIBase           CPIBucket = iota // committed work (incl. halted drain)
 	CPIFetchStall                      // empty ROB, front end filling the pipe

@@ -62,30 +62,6 @@ func TestCheckpointedRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointCacheDisabled: with the cache off, fast-forward jobs run
-// inline (no shared state) and still produce identical results.
-func TestCheckpointCacheDisabled(t *testing.T) {
-	opts := ffTinyOpts()
-	job := Solo(sim.Default(sim.PFStride), "mcf", opts)
-
-	cached, err := New(2).Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := New(2)
-	off.SetCache(false)
-	uncached, err := off.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached, uncached) {
-		t.Error("cache-disabled fast-forward diverges from checkpointed run")
-	}
-	if st := off.Stats(); st.CkptMisses != 0 || st.CkptHits != 0 {
-		t.Errorf("cache-disabled engine touched the checkpoint cache: %+v", st)
-	}
-}
-
 // TestConcurrentCheckpointSharing floods a parallel engine with jobs that
 // all boot from one checkpoint — the singleflight must emulate the prefix
 // once, and the concurrent copy-on-write restores must not race (this test

@@ -21,7 +21,7 @@ func TestObsSnapshotDeterminism(t *testing.T) {
 			jobs = append(jobs, Solo(sim.Default(kind), app, tinyOpts()))
 		}
 	}
-	seq := NewSequential().RunAll(jobs)
+	seq := New(1).RunAll(jobs)
 	par := New(8).RunAll(jobs)
 	for i := range jobs {
 		if seq[i].Err != nil || par[i].Err != nil {
@@ -100,12 +100,5 @@ func TestBatchSummaryLogging(t *testing.T) {
 	e.RunAll(jobs)
 	if !strings.Contains(buf.String(), "batch of 2 done") {
 		t.Errorf("no batch summary in log:\n%s", buf.String())
-	}
-
-	// Disabling the cache with retained entries logs the bypass, and
-	// subsequent jobs log per-job bypass lines.
-	e.SetCache(false)
-	if !strings.Contains(buf.String(), "bypassed") {
-		t.Errorf("no bypass notice in log:\n%s", buf.String())
 	}
 }

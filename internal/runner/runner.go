@@ -93,22 +93,14 @@ type Stats struct {
 	// reported via AddEmuInsts (the emulator-driven characterization
 	// experiments).
 	EmuInsts uint64
-
-	// SimCPI sums executed runs' per-core CPI stacks (zero unless jobs ran
-	// with cpu.Config.CPIStack). When every run attributed, SimCPI.Total()
-	// == SimCycles — the batch-level echo of the per-core exact-partition
-	// invariant.
-	SimCPI obs.CPIStack
 }
 
 // Engine schedules simulation jobs over a bounded worker pool and memoizes
-// their results. The zero value is not usable; construct with New or
-// NewSequential. An Engine is safe for concurrent use and needs no
-// shutdown: workers live only for the duration of each RunAll call.
+// their results. The zero value is not usable; construct with New. An
+// Engine is safe for concurrent use and needs no shutdown: workers live
+// only for the duration of each RunAll call.
 type Engine struct {
 	workers int
-	seq     bool
-	noCache bool
 	store   *store.Store // durable second tier; nil = memory-only
 
 	// Lock discipline: the Engine's mutexes guard disjoint state and are
@@ -135,7 +127,6 @@ type Engine struct {
 	simCycles, simInsts atomic.Uint64
 	emuInsts            atomic.Uint64
 	simNanos            atomic.Int64
-	simCPI              [obs.NumCPIBuckets]atomic.Uint64
 
 	// stream, when set, receives live NDJSON events: a progress event per
 	// finished job, and a run summary plus time-series rows per executed
@@ -166,8 +157,9 @@ type ckptEntry struct {
 	err  error
 }
 
-// New returns a parallel Engine running up to workers simulations at once;
-// workers <= 0 selects GOMAXPROCS.
+// New returns an Engine running up to workers simulations at once;
+// workers <= 0 selects GOMAXPROCS. A one-worker Engine executes every job
+// inline on the caller's goroutine.
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -179,32 +171,8 @@ func New(workers int) *Engine {
 	}
 }
 
-// NewSequential returns an Engine that executes every job inline on the
-// caller's goroutine: bfetch-sim's single -store run and the tests' -j 1
-// reference use it. The cache still applies.
-func NewSequential() *Engine {
-	e := New(1)
-	e.seq = true
-	return e
-}
-
-// Workers reports the pool size (1 for sequential engines).
+// Workers reports the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// SetCache enables or disables result memoization (enabled by default).
-// Disabling does not drop already-cached results; it only stops lookups
-// and insertions.
-func (e *Engine) SetCache(on bool) {
-	if !on && !e.noCache {
-		e.mu.Lock()
-		retained := len(e.entries)
-		e.mu.Unlock()
-		if retained > 0 {
-			e.logf("runner: run-cache disabled; %d cached results retained but bypassed", retained)
-		}
-	}
-	e.noCache = !on
-}
 
 // SetStore attaches a durable on-disk store (internal/store) as the second
 // tier of the lookup: memory singleflight → disk store → compute, with
@@ -263,7 +231,7 @@ func (e *Engine) SetLog(w io.Writer) {
 
 // Stats returns a snapshot of the cache and throughput counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Hits: e.hits.Load(), Misses: e.misses.Load(), Runs: e.runs.Load(),
 		CkptHits: e.ckHits.Load(), CkptMisses: e.ckMisses.Load(),
 		StoreHits: e.stHits.Load(), StoreMisses: e.stMisses.Load(),
@@ -272,10 +240,6 @@ func (e *Engine) Stats() Stats {
 		SimTime:  time.Duration(e.simNanos.Load()),
 		EmuInsts: e.emuInsts.Load(),
 	}
-	for b := range st.SimCPI {
-		st.SimCPI[b] = e.simCPI[b].Load()
-	}
-	return st
 }
 
 // AddEmuInsts reports functionally emulated instructions executed outside
@@ -297,7 +261,7 @@ func (e *Engine) RunAll(jobs []Job) []Outcome {
 	before := e.Stats()
 	e.jobsTotal.Add(uint64(len(jobs)))
 	out := make([]Outcome, len(jobs))
-	if e.seq || e.workers == 1 || len(jobs) <= 1 {
+	if e.workers == 1 || len(jobs) <= 1 {
 		for i, j := range jobs {
 			out[i] = e.runJob(j)
 		}
@@ -339,7 +303,7 @@ func (e *Engine) logBatch(jobs int, before, after Stats) {
 // into index-addressed slots by fn, which keeps assembly deterministic.
 func (e *Engine) Map(n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	if e.seq || e.workers == 1 || n <= 1 {
+	if e.workers == 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			errs[i] = fn(i)
 		}
@@ -389,12 +353,8 @@ func (e *Engine) runJob(j Job) Outcome {
 		}
 	}()
 	key, cacheable := Fingerprint(j.Cfg, j.Apps, j.Opts)
-	if !cacheable || e.noCache {
-		if e.noCache {
-			e.logf("runner: run-cache bypass (cache disabled): %s %v", j.Cfg.Prefetcher, j.Apps)
-		} else {
-			e.logf("runner: run-cache bypass (unfingerprintable config): %s %v", j.Cfg.Prefetcher, j.Apps)
-		}
+	if !cacheable {
+		e.logf("runner: run-cache bypass (unfingerprintable config): %s %v", j.Cfg.Prefetcher, j.Apps)
 		return e.execute(j)
 	}
 	e.mu.Lock()
@@ -435,14 +395,12 @@ func (e *Engine) runJob(j Job) Outcome {
 }
 
 // execute performs the actual simulation. Fast-forward protocols boot from
-// the engine's checkpoint cache so each workload's prefix is emulated once;
-// with the cache disabled (SetCache(false)) the fast-forward runs inline
-// per simulation instead — bit-identical either way.
+// the engine's checkpoint cache so each workload's prefix is emulated once.
 func (e *Engine) execute(j Job) Outcome {
 	start := time.Now() //bfetch:wallclock per-run elapsed time, logged only
 	var res sim.Result
 	var err error
-	if ff := j.Opts.FastForwardInsts; ff > 0 && !e.noCache {
+	if ff := j.Opts.FastForwardInsts; ff > 0 {
 		var cps []*ckpt.Checkpoint
 		if cps, err = e.checkpoints(j.Apps, ff); err == nil {
 			res, err = sim.RunCheckpointed(j.Cfg, cps, j.Opts)
@@ -455,19 +413,12 @@ func (e *Engine) execute(j Job) Outcome {
 	e.simNanos.Add(int64(elapsed))
 	if err == nil {
 		var cycles, insts uint64
-		var cpi obs.CPIStack
 		for _, cs := range res.Core {
 			cycles += cs.Cycles
 			insts += cs.Committed
-			cpi.AddStack(&cs.CPI)
 		}
 		e.simCycles.Add(cycles)
 		e.simInsts.Add(insts)
-		for b, v := range cpi {
-			if v > 0 {
-				e.simCPI[b].Add(v)
-			}
-		}
 		e.report(j, res, insts, elapsed)
 		e.publishRun(j, res, insts, elapsed)
 	}

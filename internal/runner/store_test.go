@@ -28,22 +28,19 @@ func storeJobs() []Job {
 	}
 }
 
-// sameObservable compares the parts of a Result that feed tables and
-// reports. The full struct includes unexported DRAM scheduling state that
-// deliberately does not survive serialization.
-func sameObservable(t *testing.T, tag string, a, b sim.Result) {
+// sameResult requires two results to be identical as whole structs: a
+// result read back from the store must equal the computed one.
+func sameResult(t *testing.T, tag string, a, b sim.Result) {
 	t.Helper()
-	if !reflect.DeepEqual(a.IPC, b.IPC) || !reflect.DeepEqual(a.Core, b.Core) ||
-		!reflect.DeepEqual(a.L1D, b.L1D) || a.LLC != b.LLC || a.Cycles != b.Cycles ||
-		!reflect.DeepEqual(a.Lifecycle, b.Lifecycle) || !reflect.DeepEqual(a.Metrics, b.Metrics) {
-		t.Errorf("%s: observable results diverge", tag)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: results diverge", tag)
 	}
 }
 
 // TestStoreTwoTierLookup is the heart of the durable cache: a cold engine
 // computes and writes back; a fresh engine over the same directory answers
 // every distinct point from disk — zero simulations, zero emulated
-// instructions — with observably identical results.
+// instructions — with identical results.
 func TestStoreTwoTierLookup(t *testing.T) {
 	dir := t.TempDir()
 	jobs := storeJobs()
@@ -84,15 +81,15 @@ func TestStoreTwoTierLookup(t *testing.T) {
 		t.Errorf("memory tier lost the duplicate: %+v", ws)
 	}
 
-	// Byte-identity of the observable results, against both the cold run
-	// and a storeless reference engine.
+	// Identity of the whole results, against both the cold run and a
+	// storeless reference engine.
 	ref := New(4).RunAll(jobs)
 	for i := range jobs {
 		if coldOut[i].Err != nil || warmOut[i].Err != nil || ref[i].Err != nil {
 			t.Fatalf("job %d errored: %v / %v / %v", i, coldOut[i].Err, warmOut[i].Err, ref[i].Err)
 		}
-		sameObservable(t, "warm vs cold", warmOut[i].Result, coldOut[i].Result)
-		sameObservable(t, "warm vs storeless", warmOut[i].Result, ref[i].Result)
+		sameResult(t, "warm vs cold", warmOut[i].Result, coldOut[i].Result)
+		sameResult(t, "warm vs storeless", warmOut[i].Result, ref[i].Result)
 	}
 }
 
@@ -103,7 +100,7 @@ func TestStoreCheckpointTier(t *testing.T) {
 	job := Solo(sim.Default(sim.PFNone), "lbm", storeOpts())
 
 	st1, _ := store.Open(dir)
-	cold := NewSequential()
+	cold := New(1)
 	cold.SetStore(st1)
 	if _, err := cold.Run(job); err != nil {
 		t.Fatal(err)
@@ -113,7 +110,7 @@ func TestStoreCheckpointTier(t *testing.T) {
 	}
 
 	st2, _ := store.Open(dir)
-	warmEng := NewSequential()
+	warmEng := New(1)
 	warmEng.SetStore(st2)
 	// Force a result-tier miss with a config the cold engine never ran, so
 	// the simulation must execute — but its checkpoint must come from disk.
@@ -152,31 +149,14 @@ func TestStoreWorkerCountInvariant(t *testing.T) {
 		t.Errorf("-j 8 over a warm shared store recomputed: %+v", s)
 	}
 	for i := range jobs {
-		sameObservable(t, "j1 vs j8", out1[i].Result, out8[i].Result)
-	}
-}
-
-// TestStoreDisabledByNoCache: SetCache(false) bypasses both tiers — the
-// escape hatch stays a true escape hatch.
-func TestStoreDisabledByNoCache(t *testing.T) {
-	st, _ := store.Open(t.TempDir())
-	e := NewSequential()
-	e.SetStore(st)
-	e.SetCache(false)
-	job := Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())
-	e.RunAll([]Job{job, job})
-	if s := e.Stats(); s.Runs != 2 || s.StoreHits != 0 || s.StoreMisses != 0 {
-		t.Errorf("cache-off engine touched the store: %+v", s)
-	}
-	if m := st.Metrics(); m.Writes != 0 {
-		t.Errorf("cache-off engine wrote %d entries", m.Writes)
+		sameResult(t, "j1 vs j8", out1[i].Result, out8[i].Result)
 	}
 }
 
 // TestStoreBatchLog checks the batch summary names the disk tier.
 func TestStoreBatchLog(t *testing.T) {
 	st, _ := store.Open(t.TempDir())
-	e := NewSequential()
+	e := New(1)
 	e.SetStore(st)
 	var buf bytes.Buffer
 	e.SetLog(&buf)

@@ -620,7 +620,7 @@ type Result struct {
 	Core   []cpu.Stats
 	L1D    []cache.Stats
 	LLC    cache.Stats
-	DRAM   cache.DRAM
+	DRAM   cache.DRAMStats
 	Cycles uint64
 
 	// Lifecycle is the per-core prefetch lifecycle breakdown and Metrics
@@ -638,7 +638,7 @@ type Result struct {
 // Snapshot collects the current counters. Cycles is relative to the last
 // ResetStats, matching every other counter's measurement window.
 func (s *System) Snapshot() Result {
-	res := Result{LLC: s.LLC.Stats, DRAM: *s.DRAM, Cycles: s.clock - s.statsBase}
+	res := Result{LLC: s.LLC.Stats, DRAM: s.DRAM.Stats(), Cycles: s.clock - s.statsBase}
 	for _, c := range s.Cores {
 		res.IPC = append(res.IPC, c.Stats.IPC())
 		res.Core = append(res.Core, c.Stats)

@@ -237,22 +237,8 @@ func TestResultRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("stored result not found")
 	}
-	// Everything a table can read must round-trip exactly. (The full
-	// struct is not DeepEqual: unexported scheduling state in the DRAM
-	// model is deliberately not serialized.)
-	if !reflect.DeepEqual(got.IPC, res.IPC) ||
-		!reflect.DeepEqual(got.Core, res.Core) ||
-		!reflect.DeepEqual(got.L1D, res.L1D) ||
-		got.LLC != res.LLC ||
-		got.Cycles != res.Cycles ||
-		!reflect.DeepEqual(got.Lifecycle, res.Lifecycle) ||
-		!reflect.DeepEqual(got.Metrics, res.Metrics) {
-		t.Error("result round trip altered observable fields")
-	}
-	if got.DRAM.DemandFills != res.DRAM.DemandFills ||
-		got.DRAM.Writebacks != res.DRAM.Writebacks ||
-		got.DRAM.StallCycles != res.DRAM.StallCycles {
-		t.Error("DRAM counters altered by round trip")
+	if !reflect.DeepEqual(got, res) {
+		t.Errorf("result round trip altered the result\nput: %+v\ngot: %+v", res, got)
 	}
 }
 
