@@ -29,9 +29,9 @@ lint:
 	$(GO) run ./cmd/bfetch-lint
 
 # Full two-layer gate: the AST analyzers plus the compiler-witnessed
-# escape/inlining/bounds-check layer (go build -gcflags='-m=2 ...', facts
-# cached per package by build ID — cold runs cost a build, warm runs
-# milliseconds).
+# escape/inlining/bounds-check layer (go build -gcflags='-m=2 ...'; Go's
+# build cache replays the diagnostics, so a cold run costs a build and a
+# warm run a few seconds).
 lint-full:
 	$(GO) run ./cmd/bfetch-lint -compiler
 

@@ -109,7 +109,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bfetch-sim:", err)
 			os.Exit(1)
 		}
-		if m := st.Metrics(); m.Hits > 0 {
+		// Checkpoint reads count as store hits too; only a run the engine
+		// did not simulate was answered from the store.
+		if eng.Stats().Runs == 0 {
 			fmt.Fprintf(os.Stderr, "store: answered from %s (no simulation run)\n", *storeDir)
 		}
 	} else {

@@ -52,7 +52,7 @@ func runFig3(p Params) ([]*stats.Table, error) {
 	// single profile threaded through all 18 programs mixes state across
 	// the boundaries, since static load indexes collide between programs).
 	ws := p.workloads()
-	eng := p.engine()
+	eng := p.Runner
 	profs := make([]*emu.DeltaProfile, len(ws))
 	if err := eng.Map(len(ws), func(i int) error {
 		w, err := workload.ByName(ws[i])
@@ -103,7 +103,7 @@ func runFig7(p Params) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 7: branches per branch-carrying fetch cycle",
 		"benchmark", "1_branch", "2_branches", "3_branches", "4_branches")
 	ws := p.workloads()
-	eng := p.engine()
+	eng := p.Runner
 	breakdowns := make([][]float64, len(ws))
 	if err := eng.Map(len(ws), func(i int) error {
 		w, err := workload.ByName(ws[i])

@@ -49,7 +49,7 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	solo := stats.NewTable(
 		"CPI stack, solo (fraction of core cycles per bucket, summed over workloads)",
 		cpiCols()...)
@@ -95,7 +95,7 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 		cfg.CPU.CPIStack = true
 		jobs = append(jobs, runner.Multi(cfg, mix.Apps, p.Opts))
 	}
-	outs = p.engine().RunAll(jobs)
+	outs = p.Runner.RunAll(jobs)
 	mixT := stats.NewTable(
 		fmt.Sprintf("CPI stack, 16-core mix %s (fraction of core cycles per bucket, summed over cores)", mix.Name),
 		cpiCols()...)

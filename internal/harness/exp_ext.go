@@ -132,7 +132,7 @@ func runExtBandwidth(p Params) ([]*stats.Table, error) {
 			}
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	k := 0
 	for _, cpf := range cpfs {
 		var smsSp, bfSp []float64
@@ -179,9 +179,9 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	insts := make([]obs.Snapshot, len(jobs))
-	if err := p.engine().Map(len(jobs), func(i int) error {
+	if err := p.Runner.Map(len(jobs), func(i int) error {
 		st, err := bfetchStats(configs[i/len(ws)], ws[i%len(ws)], p.Opts)
 		if err != nil {
 			return fmt.Errorf("instrumented run on %s: %w", ws[i%len(ws)], err)

@@ -94,7 +94,7 @@ func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Multi(sim.Default(kind), mix.Apps, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	ws := map[sim.PrefetcherKind][]float64{}
 	for ki, kind := range kinds {
 		for mi, mix := range mixes {

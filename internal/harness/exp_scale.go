@@ -84,7 +84,7 @@ func runScale(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Multi(sim.DefaultScale(kind, n), mixes[i].Apps, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	res := map[sim.PrefetcherKind][]sim.Result{}
 	for ki, kind := range kinds {
 		for i := range counts {

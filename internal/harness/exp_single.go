@@ -117,7 +117,7 @@ func runFig11(p Params) ([]*stats.Table, error) {
 			jobs = append(jobs, runner.Solo(sim.Default(kind), name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	var totals [4]uint64
 	for wi, name := range ws {
 		var row [4]uint64
@@ -194,7 +194,7 @@ func runFig13(p Params) ([]*stats.Table, error) {
 				runner.Solo(bfCfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	for si := range scales {
 		var baseSp, bfSp, missRates []float64
 		for wi, name := range ws {
@@ -238,7 +238,7 @@ func runFig14(p Params) ([]*stats.Table, error) {
 				runner.Solo(configs[ci], name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	data := make([][]float64, len(widths))
 	for i := range data {
 		data[i] = make([]float64, len(ws))

@@ -75,14 +75,6 @@ func (p Params) logf(format string, args ...any) {
 	fmt.Fprintf(p.Log, format+"\n", args...)
 }
 
-// engine returns the batch executor, defaulting to a parallel one.
-func (p Params) engine() *runner.Engine {
-	if p.Runner != nil {
-		return p.Runner
-	}
-	return runner.New(0)
-}
-
 // Experiment reproduces one paper artifact.
 type Experiment struct {
 	ID    string // paper artifact id: fig1, tab1, ...
@@ -136,7 +128,7 @@ func (p Params) baselineResults(cfg sim.Config, names []string) ([]sim.Result, e
 	for i, name := range names {
 		jobs[i] = runner.Solo(cfg, name, p.Opts)
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 	out := make([]sim.Result, len(names))
 	for i, o := range outs {
 		if o.Err != nil {
@@ -165,7 +157,7 @@ func speedups(p Params, baseline sim.Config, configs []sim.Config) ([][]float64,
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
-	outs := p.engine().RunAll(jobs)
+	outs := p.Runner.RunAll(jobs)
 
 	out := make([][]float64, len(configs))
 	lcs := make([]obs.LifecycleStats, len(configs))

@@ -2,9 +2,6 @@ package lint
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -12,7 +9,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,9 +16,10 @@ import (
 
 // This file is the compiler-witness layer: it runs the real Go compiler in
 // diagnostic mode over the module, parses the escape-analysis, inlining and
-// bounds-check-elimination output into a position-indexed fact table, and
-// caches that table per package keyed by a build ID (toolchain version +
-// flags + file contents), so warm lint runs never invoke the compiler.
+// bounds-check-elimination output into a position-indexed fact table. Go's
+// build cache replays the diagnostics of up-to-date packages and keys them by
+// dependency export data, so a repeat run is cheap and a change to a callee
+// package recompiles its callers.
 //
 // The contract with the toolchain is deliberately narrow — exactly five line
 // shapes are recognized (DESIGN.md §6c):
@@ -41,10 +38,6 @@ import (
 // factsGCFlags are the compiler flags the witness layer builds with: full
 // escape/inline diagnostics plus the bounds-check-elimination debug stream.
 const factsGCFlags = "-m=2 -d=ssa/check_bce/debug=1"
-
-// factsParserVersion invalidates cached fact files when the parser itself
-// changes shape. Bump on any change to parseFactLine or the Fact type.
-const factsParserVersion = "1"
 
 // FactKind classifies one compiler diagnostic.
 type FactKind uint8
@@ -110,96 +103,54 @@ type FactTable struct {
 // "escape analyzer passed".
 var ErrNoFacts = errors.New("lint: compiler produced no recognizable -m=2/BCE diagnostics; escape analyzer skipped (toolchain format change?)")
 
-// CollectOptions configures fact collection.
-type CollectOptions struct {
-	// CacheDir overrides the fact-cache location (default:
-	// os.UserCacheDir()/bfetch-lint). Tests point it at a temp dir.
-	CacheDir string
-	// NoCache disables reading and writing the fact cache.
-	NoCache bool
-}
-
 // CollectFacts returns the compiler fact table for the module at root,
-// consulting the per-package build-ID cache first and invoking the compiler
-// only for packages whose sources changed. pkgs must be LoadModule(root).
-func CollectFacts(root string, pkgs []*Package, opts CollectOptions) (*FactTable, error) {
-	cacheDir := opts.CacheDir
-	if cacheDir == "" && !opts.NoCache {
-		if base, err := os.UserCacheDir(); err == nil {
-			cacheDir = filepath.Join(base, "bfetch-lint")
-		} else {
-			cacheDir = filepath.Join(os.TempDir(), "bfetch-lint")
-		}
-	}
-
+// building every package with the diagnostic flags. pkgs must be
+// LoadModule(root).
+func CollectFacts(root string, pkgs []*Package) (*FactTable, error) {
 	states := make([]*pkgState, 0, len(pkgs))
 	for _, p := range pkgs {
-		key, err := packageBuildID(p)
-		if err != nil {
-			return nil, err
-		}
 		rel := p.Rel
 		if rel == "" {
 			rel = "."
 		}
-		states = append(states, &pkgState{p: p, key: key, rel: rel, nfun: countFuncs(p)})
+		states = append(states, &pkgState{p: p, rel: rel, nfun: countFuncs(p)})
+	}
+
+	byDir, err := compileForFacts(root, states, false)
+	if err != nil {
+		return nil, err
+	}
+	// A package that has function bodies but yielded zero facts was served
+	// from a build cache that replays no diagnostics (older toolchains).
+	// Retry those with -a to force recompilation.
+	var stale []*pkgState
+	for _, st := range states {
+		if st.nfun > 0 && len(byDir[st.rel]) == 0 {
+			stale = append(stale, st)
+		}
+	}
+	if len(stale) > 0 {
+		forced, err := compileForFacts(root, stale, true)
+		if err != nil {
+			return nil, err
+		}
+		for dir, facts := range forced {
+			byDir[dir] = facts
+		}
 	}
 
 	table := &FactTable{Root: root, ByFile: make(map[string][]Fact)}
-	var missing []*pkgState
+	totalFuncs, totalFacts := 0, 0
 	for _, st := range states {
-		if opts.NoCache {
-			missing = append(missing, st)
-			continue
-		}
-		facts, ok := readFactCache(cacheDir, st.key)
-		if !ok {
-			missing = append(missing, st)
-			continue
-		}
+		facts := byDir[st.rel]
+		totalFuncs += st.nfun
+		totalFacts += len(facts)
 		for _, f := range facts {
 			table.ByFile[f.File] = append(table.ByFile[f.File], f)
 		}
 	}
-
-	if len(missing) > 0 {
-		byDir, err := compileForFacts(root, missing, false)
-		if err != nil {
-			return nil, err
-		}
-		// A package that has function bodies but yielded zero facts was
-		// served from Go's own build cache (which replays no diagnostics).
-		// Retry those with -a to force recompilation.
-		var stale []*pkgState
-		for _, st := range missing {
-			if st.nfun > 0 && len(byDir[st.rel]) == 0 {
-				stale = append(stale, st)
-			}
-		}
-		if len(stale) > 0 {
-			forced, err := compileForFacts(root, stale, true)
-			if err != nil {
-				return nil, err
-			}
-			for dir, facts := range forced {
-				byDir[dir] = facts
-			}
-		}
-		totalFuncs, totalFacts := 0, 0
-		for _, st := range missing {
-			facts := byDir[st.rel]
-			totalFuncs += st.nfun
-			totalFacts += len(facts)
-			for _, f := range facts {
-				table.ByFile[f.File] = append(table.ByFile[f.File], f)
-			}
-			if !opts.NoCache {
-				writeFactCache(cacheDir, st.key, facts)
-			}
-		}
-		if totalFuncs > 0 && totalFacts == 0 {
-			return nil, ErrNoFacts
-		}
+	if totalFuncs > 0 && totalFacts == 0 {
+		return nil, ErrNoFacts
 	}
 
 	for file := range table.ByFile {
@@ -349,18 +300,17 @@ func factBaseName(name string) string {
 
 // ---------------------------------------------------------------- compiler --
 
-// pkgState pairs a parsed package with its cache key and compile spelling.
+// pkgState pairs a parsed package with its compile spelling.
 type pkgState struct {
 	p    *Package
-	key  string
 	rel  string // "./"-relative dir as passed to go build ("." for the root)
 	nfun int    // function decls with bodies — a lower bound on inline facts
 }
 
 // compileForFacts builds the given packages with the diagnostic flags and
 // returns the parsed facts grouped by module-relative package dir. force
-// adds -a, defeating Go's build cache (which suppresses diagnostics for
-// up-to-date packages).
+// adds -a, defeating a build cache that replays no diagnostics for
+// up-to-date packages.
 func compileForFacts(root string, states []*pkgState, force bool) (map[string][]Fact, error) {
 	args := []string{"build", "-gcflags=" + factsGCFlags}
 	if force {
@@ -398,41 +348,13 @@ func compileForFacts(root string, states []*pkgState, force bool) (map[string][]
 	}
 	parsed := ParseFacts(root, out)
 	// Group facts by the directory of the file they are positioned in; the
-	// module root package groups under "." to match the cache-key spelling.
+	// module root package groups under "." to match the pkgState spelling.
 	byDir := make(map[string][]Fact)
 	for file, facts := range parsed.ByFile {
 		dir := filepath.ToSlash(filepath.Dir(file))
 		byDir[dir] = append(byDir[dir], facts...)
 	}
 	return byDir, nil
-}
-
-// ---------------------------------------------------------------- build ID --
-
-// packageBuildID derives the cache key for one package: the Go toolchain
-// version, the diagnostic flags, the parser version, and the content of
-// every non-test .go file in the directory. Any change to any input yields
-// a new key, so a stale fact file can never satisfy a fresh tree.
-func packageBuildID(p *Package) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "go=%s flags=%q parser=%s\n", runtime.Version(), factsGCFlags, factsParserVersion)
-	names := make([]string, 0, len(p.Files))
-	byName := make(map[string]string, len(p.Files))
-	for _, f := range p.Files {
-		pos := p.Fset.Position(f.Package)
-		names = append(names, pos.Filename)
-		byName[pos.Filename] = pos.Filename
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(byName[name])
-		if err != nil {
-			return "", err
-		}
-		sum := sha256.Sum256(data)
-		fmt.Fprintf(h, "%s %s\n", filepath.Base(name), hex.EncodeToString(sum[:]))
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
 // countFuncs counts function declarations with bodies: each is guaranteed at
@@ -449,37 +371,4 @@ func countFuncs(p *Package) int {
 		}
 	}
 	return n
-}
-
-// ------------------------------------------------------------------- cache --
-
-type factCacheFile struct {
-	Version string `json:"version"`
-	Facts   []Fact `json:"facts"`
-}
-
-func readFactCache(dir, key string) ([]Fact, bool) {
-	data, err := os.ReadFile(filepath.Join(dir, key+".facts.json"))
-	if err != nil {
-		return nil, false
-	}
-	var cf factCacheFile
-	if json.Unmarshal(data, &cf) != nil || cf.Version != factsParserVersion {
-		return nil, false
-	}
-	return cf.Facts, true
-}
-
-func writeFactCache(dir, key string, facts []Fact) {
-	if os.MkdirAll(dir, 0o755) != nil {
-		return
-	}
-	data, err := json.Marshal(factCacheFile{Version: factsParserVersion, Facts: facts})
-	if err != nil {
-		return
-	}
-	tmp := filepath.Join(dir, key+".tmp")
-	if os.WriteFile(tmp, data, 0o644) == nil {
-		os.Rename(tmp, filepath.Join(dir, key+".facts.json"))
-	}
 }

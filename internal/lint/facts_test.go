@@ -26,7 +26,7 @@ func TestEscapeGolden(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("fixture %s: got %d packages, want 1", dir, len(pkgs))
 	}
-	facts, err := CollectFacts(dir, pkgs, CollectOptions{CacheDir: t.TempDir()})
+	facts, err := CollectFacts(dir, pkgs)
 	if errors.Is(err, ErrNoFacts) {
 		t.Skipf("toolchain diagnostic format not recognized; escape layer degrades to skip: %v", err)
 	}
@@ -58,6 +58,66 @@ func TestEscapeGolden(t *testing.T) {
 		for _, w := range subs {
 			t.Errorf("missing diagnostic at %s: want message containing %q", key, w)
 		}
+	}
+}
+
+// ------------------------------------------------ cross-package staleness --
+
+// TestFactsFollowCalleeChange pins that compiler facts about a call site
+// follow a change to the callee's package. A //bfetch:hotpath caller in
+// package a calls an inlinable helper in package b; marking the helper
+// //go:noinline changes only b's files, yet the second run must report the
+// non-inlined call in a. A fact cache keyed by each package's own files
+// serves a's first-run facts here and reports nothing.
+func TestFactsFollowCalleeChange(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const helper = `package b
+
+func Inc(x int) int { return x + 1 }
+`
+	write("go.mod", "module stale\n\ngo 1.22\n")
+	write("a/a.go", `package a
+
+import "stale/b"
+
+//bfetch:hotpath
+func Step(x int) int { return b.Inc(x) }
+`)
+	write("b/b.go", helper)
+
+	escape := func() []Diagnostic {
+		t.Helper()
+		pkgs, err := LoadModule(root)
+		if err != nil {
+			t.Fatalf("loading module: %v", err)
+		}
+		facts, err := CollectFacts(root, pkgs)
+		if errors.Is(err, ErrNoFacts) {
+			t.Skipf("toolchain diagnostic format not recognized; escape layer degrades to skip: %v", err)
+		}
+		if err != nil {
+			t.Fatalf("collecting facts: %v", err)
+		}
+		return Escape(pkgs, buildFuncIndex(pkgs), facts)
+	}
+
+	if diags := escape(); len(diags) != 0 {
+		t.Fatalf("inlinable helper produced findings: %v", diags)
+	}
+	write("b/b.go", strings.Replace(helper, "func Inc", "//go:noinline\nfunc Inc", 1))
+	diags := escape()
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "call to Inc in //bfetch:hotpath Step is not inlined") {
+		t.Fatalf("after marking the helper //go:noinline: got %v, want exactly one non-inlined call to Inc", diags)
 	}
 }
 

@@ -10,9 +10,9 @@
 //   - hotcall: the transitive closure of functions reachable from a
 //     //bfetch:hotpath root must be annotated (and therefore checked) or
 //     provably trivially alloc-free — no un-annotated helper slips through.
-//   - syncorder: no channel send while a mutex is held, lock acquisition
-//     must respect the declared //bfetch:lockorder partial order, and sync
-//     types must not be copied by value.
+//   - syncorder: no channel send while a mutex is held, and lock
+//     acquisition must respect the declared //bfetch:lockorder partial
+//     order. (Copying sync types by value is go vet's copylocks check.)
 //   - determinism: the simulation/experiment packages must not consult
 //     global randomness or wall clocks, and must not publish results from a
 //     map iteration without an explicit sort.
@@ -25,8 +25,8 @@
 //   - escape: runs the real compiler with -m=2 and the BCE debug stream and
 //     fails when a //bfetch:hotpath function heap-escapes a value, calls a
 //     non-inlined callee without a //bfetch:noinline-ok reason, or a
-//     //bfetch:bce loop retains a bounds check. The diagnostic fact table is
-//     cached per package by build ID, so warm runs cost milliseconds.
+//     //bfetch:bce loop retains a bounds check. Go's build cache replays the
+//     diagnostics of up-to-date packages, so repeat runs skip the compile.
 //
 // Escape hatches are deliberate and auditable: //bfetch:alloc-ok,
 // //bfetch:wallclock, //bfetch:orderok and //bfetch:sync-ok suppress a
@@ -78,21 +78,13 @@ type Package struct {
 	mapFieldCache map[string]bool
 }
 
-// Options configures a Run.
-type Options struct {
-	// DeterminismPkgs lists the module-relative package directories the
-	// determinism analyzer applies to. Hotpath and statsreset always run
-	// module-wide (they trigger only on annotations/method names).
-	DeterminismPkgs []string
-}
-
-// DefaultOptions scopes determinism to the packages whose output feeds
-// recorded experiment results.
-func DefaultOptions() Options {
-	return Options{DeterminismPkgs: []string{
-		"internal/sim", "internal/harness", "internal/runner", "internal/workload",
-		"internal/obs", "internal/store",
-	}}
+// determinismPkgs scopes the determinism analyzer to the module-relative
+// package directories whose output feeds recorded experiment results.
+// Hotpath and statsreset always run module-wide (they trigger only on
+// annotations/method names).
+var determinismPkgs = map[string]bool{
+	"internal/sim": true, "internal/harness": true, "internal/runner": true,
+	"internal/workload": true, "internal/obs": true, "internal/store": true,
 }
 
 // Run applies the AST-layer analyzers (hotpath, hotcall, syncorder,
@@ -100,11 +92,7 @@ func DefaultOptions() Options {
 // (unsuppressed) diagnostics sorted by position. The compiler-witnessed
 // escape analyzer is separate (CollectFacts + Escape) because it shells out
 // to the toolchain.
-func Run(pkgs []*Package, opts Options) []Diagnostic {
-	det := make(map[string]bool, len(opts.DeterminismPkgs))
-	for _, p := range opts.DeterminismPkgs {
-		det[p] = true
-	}
+func Run(pkgs []*Package) []Diagnostic {
 	idx := buildModuleIndex(pkgs)
 	fidx := buildFuncIndex(pkgs)
 	var out []Diagnostic
@@ -112,7 +100,7 @@ func Run(pkgs []*Package, opts Options) []Diagnostic {
 		out = append(out, Hotpath(p, idx)...)
 		out = append(out, StatsReset(p)...)
 		out = append(out, SyncOrder(p)...)
-		if det[p.Rel] {
+		if determinismPkgs[p.Rel] {
 			out = append(out, Determinism(p, idx)...)
 		}
 	}
@@ -136,16 +124,16 @@ type RunResult struct {
 // compiler is true, the compiler-witnessed escape layer. An unrecognizable
 // toolchain diagnostic format degrades escape to a skip-with-warning rather
 // than an error (or a false pass).
-func RunAll(root string, opts Options, compiler bool, copts CollectOptions) (RunResult, error) {
+func RunAll(root string, compiler bool) (RunResult, error) {
 	pkgs, err := LoadModule(root)
 	if err != nil {
 		return RunResult{}, err
 	}
 	res := RunResult{Packages: len(pkgs)}
-	res.Diags = Run(pkgs, opts)
+	res.Diags = Run(pkgs)
 	res.Ran = []string{"hotpath", "hotcall", "syncorder", "determinism", "statsreset"}
 	if compiler {
-		facts, ferr := CollectFacts(root, pkgs, copts)
+		facts, ferr := CollectFacts(root, pkgs)
 		switch {
 		case errors.Is(ferr, ErrNoFacts):
 			res.Warnings = append(res.Warnings, ferr.Error())

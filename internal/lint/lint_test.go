@@ -108,8 +108,8 @@ func TestStatsResetGolden(t *testing.T) {
 // must produce zero findings under all six analyzers, compiler-witnessed
 // layer included. It is the same check `make lint-full` performs, so a
 // regression — including deleting a //bfetch:hotpath annotation from a
-// reachable helper — fails `go test ./...` too. The fact cache is the same
-// one the CLI uses, so warm runs cost milliseconds; if the toolchain's
+// reachable helper — fails `go test ./...` too. Go's build cache replays the
+// compiler diagnostics, so a warm run skips the compile; if the toolchain's
 // diagnostic format is unrecognized, the escape layer skips with a warning
 // (the designed degradation) and the five AST analyzers still gate.
 func TestLiveTreeClean(t *testing.T) {
@@ -117,7 +117,7 @@ func TestLiveTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("finding module root: %v", err)
 	}
-	res, err := RunAll(root, DefaultOptions(), true, CollectOptions{})
+	res, err := RunAll(root, true)
 	if err != nil {
 		t.Fatalf("running gate: %v", err)
 	}

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// SyncOrder audits the module's concurrency discipline with three checks,
+// SyncOrder audits the module's concurrency discipline with two checks,
 // all lexical (no go/types, no may-happen-in-parallel analysis — the rules
 // are written so a lexical over-approximation is the contract):
 //
@@ -27,15 +27,10 @@ import (
 //     receiver type and field path ("Engine.mu") or package-level variable
 //     name ("logMu"); unresolvable acquisition sites are ignored.
 //
-//  3. sync types must not be copied by value: methods with value receivers
-//     on mutex-bearing structs and parameters/results passing such structs
-//     (or bare sync.Mutex et al.) by value are reported. This is vet's
-//     copylocks narrowed to declaration sites, where it is reliable without
-//     type information.
+// Copying a sync type by value is left to go vet's copylocks check.
 func SyncOrder(p *Package) []Diagnostic {
 	var out []Diagnostic
 	order := collectLockOrder(p, &out)
-	bearers := mutexBearingTypes(p)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -43,7 +38,6 @@ func SyncOrder(p *Package) []Diagnostic {
 				continue
 			}
 			checkLockBody(p, f, fd, order, &out)
-			checkValueCopies(p, f, fd, bearers, &out)
 		}
 	}
 	return out
@@ -204,111 +198,4 @@ func lockName(x ast.Expr, recvName, recvType string) string {
 			return ""
 		}
 	}
-}
-
-// ------------------------------------------------------------- value copies --
-
-// syncTypeNames are the sync package's by-reference-only types.
-var syncTypeNames = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true,
-	"Cond": true, "Map": true, "Pool": true,
-}
-
-// mutexBearingTypes returns the package's named struct types that contain a
-// sync type (directly, or through an embedded/nested named struct of the
-// same package), so copying them by value copies a lock.
-func mutexBearingTypes(p *Package) map[string]bool {
-	direct := make(map[string]bool)
-	deps := make(map[string][]string) // type → same-package named field types
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					t := field.Type
-					if arr, ok := t.(*ast.ArrayType); ok {
-						t = arr.Elt // an array of locks is still a lock copy
-					}
-					switch v := t.(type) {
-					case *ast.SelectorExpr:
-						if x, ok := v.X.(*ast.Ident); ok && x.Name == "sync" && syncTypeNames[v.Sel.Name] {
-							direct[ts.Name.Name] = true
-						}
-					case *ast.Ident:
-						deps[ts.Name.Name] = append(deps[ts.Name.Name], v.Name)
-					}
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for t, fields := range deps {
-			if direct[t] {
-				continue
-			}
-			for _, ft := range fields {
-				if direct[ft] {
-					direct[t] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return direct
-}
-
-// isSyncByValue reports whether a declared (non-pointer) type expression is
-// a sync type or a package-local mutex-bearing struct, returning its
-// spelling.
-func isSyncByValue(t ast.Expr, bearers map[string]bool) (string, bool) {
-	switch v := t.(type) {
-	case *ast.Ident:
-		if bearers[v.Name] {
-			return v.Name, true
-		}
-	case *ast.SelectorExpr:
-		if x, ok := v.X.(*ast.Ident); ok && x.Name == "sync" && syncTypeNames[v.Sel.Name] {
-			return "sync." + v.Sel.Name, true
-		}
-	}
-	return "", false
-}
-
-// checkValueCopies flags value receivers and by-value parameters/results of
-// lock-bearing types.
-func checkValueCopies(p *Package, f *ast.File, fd *ast.FuncDecl, bearers map[string]bool, out *[]Diagnostic) {
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		if name, ok := isSyncByValue(fd.Recv.List[0].Type, bearers); ok {
-			p.report(out, f, fd.Recv.List[0].Pos(), "syncorder", "bfetch:sync-ok",
-				"method %s has a value receiver of lock-bearing type %s; copying it copies the lock (use *%s)",
-				fd.Name.Name, name, name)
-		}
-	}
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			if name, ok := isSyncByValue(field.Type, bearers); ok {
-				p.report(out, f, field.Pos(), "syncorder", "bfetch:sync-ok",
-					"%s of %s passes lock-bearing type %s by value (use *%s)",
-					what, fd.Name.Name, name, name)
-			}
-		}
-	}
-	check(fd.Type.Params, "parameter")
-	check(fd.Type.Results, "result")
 }

@@ -1,6 +1,6 @@
 // Package syncorder is the golden fixture for the concurrency-discipline
-// analyzer: sends under locks, lock-order inversions against the declared
-// partial order, and sync types copied by value.
+// analyzer: sends under locks and lock-order inversions against the declared
+// partial order.
 //
 //bfetch:lockorder server.mu < server.logMu
 package syncorder
@@ -29,14 +29,4 @@ func (s *server) inverted() {
 	s.n++
 	s.mu.Unlock()
 	s.logMu.Unlock()
-}
-
-// snapshot copies both mutexes through its value receiver.
-func (s server) snapshot() int { // want "value receiver of lock-bearing type server"
-	return s.n
-}
-
-// merge copies the locks through a by-value parameter.
-func merge(a server) int { // want "passes lock-bearing type server by value"
-	return a.n
 }

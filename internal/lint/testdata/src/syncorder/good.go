@@ -42,6 +42,3 @@ func (s *server) ordered() {
 	s.logMu.Unlock()
 	s.mu.Unlock()
 }
-
-// pointered takes the lock-bearing struct by pointer: no copy.
-func pointered(a *server) int { return a.n }

@@ -6,7 +6,7 @@ package obs
 //	/obs         current Status (schema bfetch-obs-status/v1)
 //	/obs/runs    completed runs so far (schema bfetch-obs/v1)
 //	/obs/stream  live NDJSON event stream (progress / run / sample events)
-//	/debug/vars  expvar, including a published bfetch status var
+//	/debug/vars  expvar (the process's memstats and cmdline)
 //	/debug/pprof net/http/pprof profiles
 //
 // The endpoint is read-only and intended for localhost debugging of long
@@ -18,7 +18,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // Server is a running introspection endpoint.
@@ -26,10 +25,6 @@ type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
-
-// publishOnce guards the process-wide expvar name (expvar.Publish panics on
-// duplicates; tests may start several Servers in one process).
-var publishOnce sync.Once
 
 // Serve starts the endpoint on addr (e.g. "127.0.0.1:0"; an empty port
 // picks one — read it back with Addr). status supplies the live Status;
@@ -102,10 +97,6 @@ func Serve(addr string, status func() Status, runs func() RunsFile, hub *StreamH
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	publishOnce.Do(func() {
-		expvar.Publish("bfetch", expvar.Func(func() any { return status() }))
-	})
 
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux}}
 	go s.srv.Serve(ln)

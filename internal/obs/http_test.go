@@ -64,8 +64,7 @@ func TestServeEndpoints(t *testing.T) {
 }
 
 // TestServeWithoutRuns checks the runs endpoint is absent when no supplier
-// is wired, and that a second server in the same process is fine (the
-// expvar publication must not panic on re-registration).
+// is wired, and that a second server in the same process is fine.
 func TestServeWithoutRuns(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", func() Status { return Status{Schema: SchemaStatus} }, nil, nil)
 	if err != nil {

@@ -9,7 +9,7 @@
 // struct hand-copied into Result and re-named per table) with one contract:
 // components register metrics under canonical dotted names at assembly
 // time, and a single Snapshot()/Reset() pair covers all of them. Hot-path
-// instruments (Counter, Gauge, Histogram) are fixed-slot handles whose
+// instruments (Counter, Histogram) are fixed-slot handles whose
 // increments are allocation-free — the bfetch-lint hotpath analyzer audits
 // them like the rest of the per-cycle kernel. Cold metrics (existing stat
 // struct fields) register as Func collectors read at snapshot time, so the
@@ -41,18 +41,6 @@ func (c Counter) Add(n uint64) { *c.v += n }
 
 // Value returns the current count.
 func (c Counter) Value() uint64 { return *c.v }
-
-// Gauge is a last-value-wins metric. The zero value is unusable; obtain one
-// from Registry.Gauge.
-type Gauge struct{ v *uint64 }
-
-// Set stores v.
-//
-//bfetch:hotpath
-func (g Gauge) Set(v uint64) { *g.v = v }
-
-// Value returns the current value.
-func (g Gauge) Value() uint64 { return *g.v }
 
 // HistBuckets is the number of log2 histogram buckets: bucket i counts
 // observations v with bits.Len64(v) == i (so bucket 0 is exactly 0, bucket
@@ -132,7 +120,7 @@ type namedFunc struct {
 	fn   func() uint64
 }
 
-// scalarSrc is one sealed scalar source: a direct cell (counters, gauges)
+// scalarSrc is one sealed scalar source: a direct cell (counters)
 // or a collector function.
 type scalarSrc struct {
 	name string
@@ -146,7 +134,6 @@ type scalarSrc struct {
 type Registry struct {
 	names    map[string]bool //bfetch:noreset registration table, not a counter
 	counters []namedCell     //bfetch:noreset registration table; the cells it points at are reset
-	gauges   []namedCell     //bfetch:noreset registration table; the cells it points at are reset
 	hists    []namedHist     //bfetch:noreset registration table; the states it points at are reset
 	funcs    []namedFunc     //bfetch:noreset collectors read live component state, reset by its owner
 	sealed   []scalarSrc     //bfetch:noreset sealed registration table (see SealScalars)
@@ -182,14 +169,6 @@ func (r *Registry) Counter(name string) Counter {
 	return c
 }
 
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name string) Gauge {
-	r.claim(name)
-	g := Gauge{v: new(uint64)}
-	r.gauges = append(r.gauges, namedCell{name: name, v: g.v})
-	return g
-}
-
 // Histogram registers and returns a histogram.
 func (r *Registry) Histogram(name string) Histogram {
 	r.claim(name)
@@ -209,19 +188,16 @@ func (r *Registry) Func(name string, fn func() uint64) {
 // Len reports the number of registered metrics.
 func (r *Registry) Len() int { return len(r.names) }
 
-// SealScalars freezes the scalar metric set (counters, gauges and Func
+// SealScalars freezes the scalar metric set (counters and Func
 // collectors; histograms are excluded) into a name-sorted read schedule and
 // returns the names in that order. After sealing, further registration
 // panics — the interval sampler's row layout must not shift mid-run.
 // Idempotent: a second call returns the same schedule.
 func (r *Registry) SealScalars() []string {
 	if r.sealed == nil {
-		r.sealed = make([]scalarSrc, 0, len(r.counters)+len(r.gauges)+len(r.funcs))
+		r.sealed = make([]scalarSrc, 0, len(r.counters)+len(r.funcs))
 		for _, c := range r.counters {
 			r.sealed = append(r.sealed, scalarSrc{name: c.name, v: c.v})
-		}
-		for _, g := range r.gauges {
-			r.sealed = append(r.sealed, scalarSrc{name: g.name, v: g.v})
 		}
 		for _, f := range r.funcs {
 			r.sealed = append(r.sealed, scalarSrc{name: f.name, fn: f.fn})
@@ -251,12 +227,9 @@ func (r *Registry) ReadScalarsInto(dst []uint64) {
 
 // Snapshot captures every metric, sorted by name.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{Samples: make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.funcs))}
+	s := Snapshot{Samples: make([]Sample, 0, len(r.counters)+len(r.funcs))}
 	for _, c := range r.counters {
 		s.Samples = append(s.Samples, Sample{Name: c.name, Value: *c.v})
-	}
-	for _, g := range r.gauges {
-		s.Samples = append(s.Samples, Sample{Name: g.name, Value: *g.v})
 	}
 	for _, f := range r.funcs {
 		s.Samples = append(s.Samples, Sample{Name: f.name, Value: f.fn()})
@@ -274,15 +247,12 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes every counter, gauge and histogram. Func collectors read
+// Reset zeroes every counter and histogram. Func collectors read
 // live component state and are reset by their owners (sim.System.ResetStats
 // resets both sides in one call).
 func (r *Registry) Reset() {
 	for _, c := range r.counters {
 		*c.v = 0
-	}
-	for _, g := range r.gauges {
-		*g.v = 0
 	}
 	for _, h := range r.hists {
 		*h.h = histState{}

@@ -6,7 +6,10 @@
 # sims, zero store misses, 100% answered from disk) and its tables are
 # byte-identical to the first run's. A second leg repeats the check across
 # worker counts (-j 1 populates, -j 8 reads) — the disk tier must be as
-# scheduling-independent as the in-memory one. Run via `make store-smoke`.
+# scheduling-independent as the in-memory one. A last leg checks that
+# bfetch-sim claims "no simulation run" only when it ran none: a run that
+# reuses a stored checkpoint but simulates a new point must not claim it.
+# Run via `make store-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -16,6 +19,7 @@ trap 'rm -rf "$workdir"' EXIT
 
 echo "== build"
 go build -o "$workdir/bfetch-bench" ./cmd/bfetch-bench
+go build -o "$workdir/bfetch-sim" ./cmd/bfetch-sim
 
 proto=(-exp fig8 -workloads mcf,lbm,milc -ff 50000 -warmup 10000 -measure 20000 -q)
 
@@ -56,5 +60,21 @@ grep -q '^fig8 finished in .* (0 sims run' "$workdir/j8.err" || {
     exit 1
 }
 diff -r "$workdir/j1" "$workdir/j8"
+
+echo "== bfetch-sim: a checkpoint hit is not a stored result"
+sim=(-workloads mcf -ff 20000 -warmup 2000 -measure 5000 -store "$workdir/simstore")
+"$workdir/bfetch-sim" "${sim[@]}" -pf none >/dev/null 2>&1
+"$workdir/bfetch-sim" "${sim[@]}" -pf bfetch >/dev/null 2>"$workdir/sim2.err"
+if grep -q 'no simulation run' "$workdir/sim2.err"; then
+    echo "bfetch-sim claimed a store answer for a point it simulated:" >&2
+    cat "$workdir/sim2.err" >&2
+    exit 1
+fi
+"$workdir/bfetch-sim" "${sim[@]}" -pf bfetch >/dev/null 2>"$workdir/sim3.err"
+grep -q 'no simulation run' "$workdir/sim3.err" || {
+    echo "bfetch-sim repeat was not answered from the store:" >&2
+    cat "$workdir/sim3.err" >&2
+    exit 1
+}
 
 echo "store-smoke: OK"
