@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -126,7 +127,7 @@ func run() error {
 				}
 				if dstore != nil {
 					m := dstore.Metrics()
-					s.StoreHits, s.StoreMisses = m.Hits, m.Misses
+					s.StoreLookupHits, s.StoreLookupMisses = m.Hits, m.Misses
 					s.StoreBytesRead = m.BytesRead
 					s.StoreReadSeconds = m.ReadTime.Seconds()
 				}
@@ -152,9 +153,9 @@ func run() error {
 	}
 	if *scaleCores != "" {
 		for _, s := range strings.Split(*scaleCores, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n < 1 {
-				return fmt.Errorf("bad -scalecores entry %q", s)
+			n, err := parseCores(s)
+			if err != nil {
+				return err
 			}
 			params.ScaleCores = append(params.ScaleCores, n)
 		}
@@ -177,6 +178,7 @@ func run() error {
 	}
 
 	var prev runner.Stats
+	var prevStore store.Metrics
 	for _, e := range todo {
 		start := time.Now()
 		curExp.Store(e.ID)
@@ -192,9 +194,9 @@ func run() error {
 			st.Runs-prev.Runs, st.Hits-prev.Hits, st.Misses-prev.Misses,
 			st.CkptHits-prev.CkptHits, st.CkptMisses-prev.CkptMisses)
 		if dstore != nil {
-			line += fmt.Sprintf("; store: %d hits, %d misses",
-				(st.StoreHits+st.StoreCkptHits)-(prev.StoreHits+prev.StoreCkptHits),
-				(st.StoreMisses+st.StoreCkptMisses)-(prev.StoreMisses+prev.StoreCkptMisses))
+			m := dstore.Metrics()
+			line += fmt.Sprintf("; store: %d hits, %d misses", m.Hits-prevStore.Hits, m.Misses-prevStore.Misses)
+			prevStore = m
 		}
 		fmt.Fprintln(os.Stderr, line)
 		prev = st
@@ -223,6 +225,9 @@ func run() error {
 			m := dstore.Metrics()
 			line += fmt.Sprintf("; store: %d hits, %d misses, %d KB read in %s",
 				m.Hits, m.Misses, m.BytesRead/1024, m.ReadTime.Round(time.Millisecond))
+			if m.WriteErrs > 0 {
+				line += fmt.Sprintf(", %d write errors", m.WriteErrs)
+			}
 		}
 		fmt.Fprintln(os.Stderr, line)
 	}
@@ -259,4 +264,14 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// parseCores parses one -scalecores entry: a positive decimal core count,
+// surrounding spaces allowed, nothing else.
+func parseCores(s string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad -scalecores entry %q", s)
+	}
+	return n, nil
 }

@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/isb"
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/stems"
-	"repro/internal/workload"
 )
 
 // Extension experiments beyond the paper's figures: the heavy-weight ISB
@@ -56,61 +52,41 @@ func runExtISB(p Params) ([]*stats.Table, error) {
 	lt := lifecycleTable("Extension (obs): prefetch lifecycle by engine",
 		[]string{"SMS", "Bfetch", "ISB", "STeMS"}, lcs)
 
-	// Meta-data growth: run ISB on a representative irregular workload and
-	// report the mapping footprint against B-Fetch's fixed budget.
+	// Meta-data growth: ISB's and STeMS's state after their mcf runs (the
+	// speedup batch's, answered from the memo), against B-Fetch's fixed
+	// budget.
 	meta := stats.NewTable("Extension: prefetcher state after an mcf run",
 		"prefetcher", "state", "location")
-	res, err := runWithISB(p, "mcf")
+	isbMeta, err := p.mcfMetaBytes(sim.PFISB)
 	if err != nil {
 		return nil, err
 	}
-	stemsMeta, err := runWithSTeMS(p, "mcf")
+	stemsMeta, err := p.mcfMetaBytes(sim.PFSTeMS)
 	if err != nil {
 		return nil, err
 	}
 	meta.AddRow("B-Fetch", "12.84 KB (fixed)", "on-chip")
 	meta.AddRow("SMS", "≈65 KB (fixed)", "on-chip")
-	meta.AddRow("ISB", fmt.Sprintf("%.1f KB (grows with footprint)", float64(res)/1024),
+	meta.AddRow("ISB", fmt.Sprintf("%.1f KB (grows with footprint)", float64(isbMeta)/1024),
 		"off-chip in the original (≈8 MB budget, +8.4% traffic)")
 	meta.AddRow("STeMS", fmt.Sprintf("%.1f KB (grows with history)", float64(stemsMeta)/1024),
 		"temporal log off-chip in the original (MBs)")
 	return []*stats.Table{t, lt, meta}, nil
 }
 
-// runWithSTeMS measures STeMS's meta-data bytes after running one workload.
-func runWithSTeMS(p Params, app string) (int, error) {
-	w, err := workload.ByName(app)
+// mcfMetaBytes reads a prefetcher's meta-data footprint at the end of its
+// solo mcf run. A result stored before the prefetcher exported the metric
+// lacks it; that is an error, not a zero-byte footprint.
+func (p Params) mcfMetaBytes(kind sim.PrefetcherKind) (uint64, error) {
+	res, err := p.Runner.Run(runner.Solo(sim.Default(kind), "mcf", p.Opts))
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%s on mcf: %w", kind, err)
 	}
-	cfg := sim.Default(sim.PFSTeMS)
-	s, err := sim.New(cfg, []workload.Workload{w})
-	if err != nil {
-		return 0, err
+	v, ok := res.Metrics.Get("c0.pf.meta_bytes")
+	if !ok {
+		return 0, fmt.Errorf("%s on mcf: result lacks c0.pf.meta_bytes (a store entry written before the metric existed; use a fresh store directory)", kind)
 	}
-	total := p.Opts.WarmupInsts + p.Opts.MeasureInsts
-	if err := s.Run(total, total*1000); err != nil {
-		return 0, err
-	}
-	return s.PFs[0].(*stems.STeMS).MetaBytes(), nil
-}
-
-// runWithISB measures ISB's meta-data bytes after running one workload.
-func runWithISB(p Params, app string) (int, error) {
-	w, err := workload.ByName(app)
-	if err != nil {
-		return 0, err
-	}
-	cfg := sim.Default(sim.PFISB)
-	s, err := sim.New(cfg, []workload.Workload{w})
-	if err != nil {
-		return 0, err
-	}
-	total := p.Opts.WarmupInsts + p.Opts.MeasureInsts
-	if err := s.Run(total, total*1000); err != nil {
-		return 0, err
-	}
-	return s.PFs[0].(*isb.ISB).MetaBytes(), nil
+	return v, nil
 }
 
 // runExtBandwidth measures SMS and B-Fetch speedups while scaling the DRAM
@@ -166,31 +142,15 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 		return nil, err
 	}
 
-	// Timed runs go through the engine as one batch; the instrumented runs
-	// (engine counters are not carried through sim.Run's Result) fan out
-	// over the same pool via Map, one slot per (threshold, workload) point.
-	configs := make([]sim.Config, len(thresholds))
 	var jobs []runner.Job
-	for ti, th := range thresholds {
+	for _, th := range thresholds {
 		cfg := sim.Default(sim.PFBFetch)
 		cfg.BFetch.PathThreshold = th
-		configs[ti] = cfg
 		for _, name := range ws {
 			jobs = append(jobs, runner.Solo(cfg, name, p.Opts))
 		}
 	}
 	outs := p.Runner.RunAll(jobs)
-	insts := make([]obs.Snapshot, len(jobs))
-	if err := p.Runner.Map(len(jobs), func(i int) error {
-		st, err := bfetchStats(configs[i/len(ws)], ws[i%len(ws)], p.Opts)
-		if err != nil {
-			return fmt.Errorf("instrumented run on %s: %w", ws[i%len(ws)], err)
-		}
-		insts[i] = st
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 
 	for ti, th := range thresholds {
 		var (
@@ -203,11 +163,16 @@ func runExtDepth(p Params) ([]*stats.Table, error) {
 				return nil, fmt.Errorf("threshold %.2f on %s: %w", th, name, o.Err)
 			}
 			speedup = append(speedup, o.Result.IPC[0]/base[wi].IPC[0])
-			st := insts[ti*len(ws)+wi]
-			steps += bfetchMetric(st, "lookahead_steps")
-			starts += bfetchMetric(st, "lookahead_starts")
-			stopsConf += bfetchMetric(st, "lookahead_stops")
-			stopsBrtc += bfetchMetric(st, "brtc_misses")
+			// The engine's counters over the measured window, under their
+			// canonical registry names.
+			get := func(name string) uint64 {
+				v, _ := o.Result.Metrics.Get("c0.pf." + name)
+				return v
+			}
+			steps += get("lookahead_steps")
+			starts += get("lookahead_starts")
+			stopsConf += get("lookahead_stops")
+			stopsBrtc += get("brtc_misses")
 		}
 		avg := 0.0
 		if starts > 0 {

@@ -62,16 +62,16 @@ func (p Params) workloads() []string {
 	return workload.Names()
 }
 
-// logMu serializes progress output: experiments may log from pool workers,
+// outMu serializes progress output: experiments may log from pool workers,
 // and several experiments may share one writer.
-var logMu sync.Mutex
+var outMu sync.Mutex
 
 func (p Params) logf(format string, args ...any) {
 	if p.Log == nil {
 		return
 	}
-	logMu.Lock()
-	defer logMu.Unlock()
+	outMu.Lock()
+	defer outMu.Unlock()
 	fmt.Fprintf(p.Log, format+"\n", args...)
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func runWith(t *testing.T, id string, eng *runner.Engine, log *bytes.Buffer) str
 }
 
 func TestParallelTablesMatchSequential(t *testing.T) {
-	for _, id := range []string{"fig8", "fig9", "fig11", "fig13", "fig14", "fig3", "fig7"} {
+	for _, id := range []string{"fig8", "fig9", "fig11", "fig13", "fig14", "fig3", "fig7", "ext-isb", "ext-depth"} {
 		var seqLog, parLog bytes.Buffer
 		seq := runWith(t, id, runner.New(1), &seqLog)
 		par := runWith(t, id, runner.New(8), &parLog)
@@ -116,5 +117,75 @@ func TestBaselineSharedAcrossExperiments(t *testing.T) {
 	// default-threshold points are run-cache hits.
 	if got := eng.Stats().Runs - afterFirst; got != 4 {
 		t.Errorf("fig12 ran %d new sims after fig8, want 4 (baselines and the default threshold from the run-cache)", got)
+	}
+}
+
+// TestExtTablesReadEngineResults pins that ext-depth and ext-isb report the
+// counters of the same runs the engine memoizes, not of side simulations:
+// ext-depth's 0.75 row is the lookahead depth over those results' measured
+// windows, and ext-isb's ISB state is its mcf result's c0.pf.meta_bytes.
+func TestExtTablesReadEngineResults(t *testing.T) {
+	eng := runner.New(1)
+	p := Params{
+		Opts:      sim.RunOpts{WarmupInsts: 5_000, MeasureInsts: 10_000},
+		Workloads: []string{"libquantum", "mcf"},
+		Runner:    eng,
+	}
+	metric := func(res sim.Result, name string) uint64 {
+		t.Helper()
+		v, ok := res.Metrics.Get(name)
+		if !ok {
+			t.Fatalf("result lacks %s", name)
+		}
+		return v
+	}
+
+	cfg := sim.Default(sim.PFBFetch)
+	cfg.BFetch.PathThreshold = 0.75
+	var steps, starts uint64
+	for _, w := range p.Workloads {
+		res, err := eng.Run(runner.Solo(cfg, w, p.Opts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps += metric(res, "c0.pf.lookahead_steps")
+		starts += metric(res, "c0.pf.lookahead_starts")
+	}
+	if starts == 0 {
+		t.Fatal("no lookahead started")
+	}
+	e, err := ByID("ext-depth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth, err := e.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%.3f", float64(steps)/float64(starts))
+	var got string
+	for _, row := range depth[0].Rows {
+		if row[0] == "0.75" {
+			got = row[1]
+		}
+	}
+	if got != want {
+		t.Errorf("ext-depth avg_depth_BB at 0.75 = %q, want %s from the engine's results", got, want)
+	}
+
+	res, err := eng.Run(runner.Solo(sim.Default(sim.PFISB), "mcf", p.Opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKB := fmt.Sprintf("%.1f KB", float64(metric(res, "c0.pf.meta_bytes"))/1024)
+	if e, err = ByID("ext-isb"); err != nil {
+		t.Fatal(err)
+	}
+	isb, err := e.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := findRow(isb[2], "ISB"); !strings.Contains(row, wantKB) {
+		t.Errorf("ext-isb ISB row %q, want %s from the engine's result", row, wantKB)
 	}
 }

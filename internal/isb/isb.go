@@ -152,6 +152,7 @@ func (p *ISB) ResetStats() {
 func (p *ISB) RegisterObs(reg *obs.Registry, prefix string) {
 	reg.Func(prefix+"trained_pairs", func() uint64 { return p.TrainedPairs })
 	reg.Func(prefix+"meta_overflows", func() uint64 { return p.MetaOverflows })
+	reg.Func(prefix+"meta_bytes", func() uint64 { return uint64(p.MetaBytes()) })
 	p.queue.RegisterObs(reg, prefix)
 }
 

@@ -25,7 +25,7 @@ import (
 //     held — with "A < B" declared, directly or transitively — is a
 //     deadlock-shaped inversion and is reported. Locks are named by
 //     receiver type and field path ("Engine.mu") or package-level variable
-//     name ("logMu"); unresolvable acquisition sites are ignored.
+//     name ("outMu"); unresolvable acquisition sites are ignored.
 //
 // Copying a sync type by value is left to go vet's copylocks check.
 func SyncOrder(p *Package) []Diagnostic {

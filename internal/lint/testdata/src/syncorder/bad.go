@@ -2,14 +2,14 @@
 // analyzer: sends under locks and lock-order inversions against the declared
 // partial order.
 //
-//bfetch:lockorder server.mu < server.logMu
+//bfetch:lockorder server.mu < server.outMu
 package syncorder
 
 import "sync"
 
 type server struct {
 	mu    sync.Mutex
-	logMu sync.Mutex
+	outMu sync.Mutex
 	ch    chan int
 	n     int
 }
@@ -22,11 +22,11 @@ func (s *server) notify(v int) {
 	s.mu.Unlock()
 }
 
-// inverted acquires mu under logMu, contradicting the declared order.
+// inverted acquires mu under outMu, contradicting the declared order.
 func (s *server) inverted() {
-	s.logMu.Lock()
-	s.mu.Lock() // want "contradicts declared lock order server.mu < server.logMu"
+	s.outMu.Lock()
+	s.mu.Lock() // want "contradicts declared lock order server.mu < server.outMu"
 	s.n++
 	s.mu.Unlock()
-	s.logMu.Unlock()
+	s.outMu.Unlock()
 }

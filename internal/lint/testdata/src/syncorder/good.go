@@ -33,12 +33,12 @@ func (w *worker) urgent(v int) {
 	w.mu.Unlock()
 }
 
-// ordered nests in the declared direction (mu before logMu is fine — the
-// declaration in bad.go says server.mu < server.logMu).
+// ordered nests in the declared direction (mu before outMu is fine — the
+// declaration in bad.go says server.mu < server.outMu).
 func (s *server) ordered() {
 	s.mu.Lock()
-	s.logMu.Lock()
+	s.outMu.Lock()
 	s.n++
-	s.logMu.Unlock()
+	s.outMu.Unlock()
 	s.mu.Unlock()
 }

@@ -44,7 +44,7 @@ type RunReport struct {
 	// two clock loops.
 	TS *TimeSeriesData `json:"ts,omitempty"`
 
-	WallSeconds   float64 `json:"wall_seconds"`        // inside sim.Run
+	WallSeconds   float64 `json:"wall_seconds"`        // inside sim.Run or sim.RunCheckpointed
 	KCyclesPerSec float64 `json:"sim_kcycles_per_sec"` // cycles / wall
 }
 
@@ -94,24 +94,16 @@ type Status struct {
 	// Durable-store tier (internal/store), present when the batch runs
 	// with -store: disk lookups across both artifact kinds, payload bytes
 	// validated in, and wall time spent inside store reads.
-	StoreHits        uint64  `json:"store_hits,omitempty"`
-	StoreMisses      uint64  `json:"store_misses,omitempty"`
-	StoreBytesRead   uint64  `json:"store_bytes_read,omitempty"`
-	StoreReadSeconds float64 `json:"store_read_seconds,omitempty"`
+	StoreLookupHits   uint64  `json:"store_hits,omitempty"`
+	StoreLookupMisses uint64  `json:"store_misses,omitempty"`
+	StoreBytesRead    uint64  `json:"store_bytes_read,omitempty"`
+	StoreReadSeconds  float64 `json:"store_read_seconds,omitempty"`
 
 	SimCycles     uint64  `json:"sim_cycles"`
 	SimInsts      uint64  `json:"sim_insts"`
 	KCyclesPerSec float64 `json:"sim_kcycles_per_sec"`
 
 	UptimeSeconds float64 `json:"uptime_seconds"`
-}
-
-// CacheHitRate returns hits / (hits + misses), or 0.
-func (s Status) CacheHitRate() float64 {
-	if s.CacheHits+s.CacheMisses == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
 }
 
 // ValidateReport parses data as any of the three obs documents, dispatching

@@ -1,10 +1,8 @@
 package runner
 
 import (
-	"bytes"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -86,19 +84,5 @@ func TestRunReportsCollection(t *testing.T) {
 	e.SetRunReports(false)
 	if got := e.RunReports(); len(got) != 0 {
 		t.Errorf("reports after disabling: %d", len(got))
-	}
-}
-
-func TestBatchSummaryLogging(t *testing.T) {
-	var buf bytes.Buffer
-	e := New(2)
-	e.SetLog(&buf)
-	jobs := []Job{
-		Solo(sim.Default(sim.PFStride), "gamess", tinyOpts()),
-		Solo(sim.Default(sim.PFStride), "gamess", tinyOpts()),
-	}
-	e.RunAll(jobs)
-	if !strings.Contains(buf.String(), "batch of 2 done") {
-		t.Errorf("no batch summary in log:\n%s", buf.String())
 	}
 }

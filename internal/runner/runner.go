@@ -22,7 +22,6 @@ package runner
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,7 +57,10 @@ type Outcome struct {
 	Err    error
 }
 
-// Stats counts the Engine's cache and execution activity.
+// Stats counts the Engine's cache and execution activity. Durable-store
+// traffic is counted by the store itself (store.Metrics): a job or
+// checkpoint answered from disk counts here in neither the hit nor the miss
+// column, since it was not in memory and nothing was computed.
 type Stats struct {
 	Hits   uint64 // jobs answered from the cache (or coalesced in flight)
 	Misses uint64 // cacheable jobs that had to simulate
@@ -70,23 +72,12 @@ type Stats struct {
 	CkptHits   uint64
 	CkptMisses uint64
 
-	// Durable-store accounting (zero unless a store is attached with
-	// SetStore). A store hit replaces a simulation (StoreHits) or a
-	// checkpoint emulation (StoreCkptHits) with a disk read; it counts
-	// here and in neither the in-memory hit nor miss columns (it was not
-	// in memory, and nothing was computed). Misses are disk-tier lookups
-	// that fell through to compute — the computed artifact is written back.
-	StoreHits       uint64
-	StoreMisses     uint64
-	StoreCkptHits   uint64
-	StoreCkptMisses uint64
-
 	// Simulation throughput accounting, summed over executed runs (cache
 	// hits contribute nothing — no simulation happened). Cycles and
 	// instructions cover the measured window of every core.
 	SimCycles uint64        // core-cycles simulated
 	SimInsts  uint64        // instructions committed
-	SimTime   time.Duration // wall time spent inside sim.Run
+	SimTime   time.Duration // wall time spent inside sim.Run or sim.RunCheckpointed
 
 	// EmuInsts counts functionally emulated instructions: fast-forward
 	// prefixes executed for checkpoint-cache misses, plus any profile work
@@ -103,27 +94,11 @@ type Engine struct {
 	workers int
 	store   *store.Store // durable second tier; nil = memory-only
 
-	// Lock discipline: the Engine's mutexes guard disjoint state and are
-	// never held together in steady state; if a path ever must nest them,
-	// logMu is the innermost leaf — nothing is acquired under it.
-	//
-	//bfetch:lockorder Engine.mu < Engine.logMu
-	//bfetch:lockorder Engine.ckMu < Engine.logMu
-	//bfetch:lockorder Engine.repMu < Engine.logMu
-
-	logMu sync.Mutex
-	log   io.Writer
-
-	mu      sync.Mutex
-	entries map[string]*entry
-
-	ckMu      sync.Mutex
-	ckEntries map[string]*ckptEntry
+	results memo[sim.Result]
+	ckpts   memo[*ckpt.Checkpoint]
 
 	hits, misses, runs  atomic.Uint64
 	ckHits, ckMisses    atomic.Uint64
-	stHits, stMisses    atomic.Uint64
-	stCkHits, stCkMiss  atomic.Uint64
 	simCycles, simInsts atomic.Uint64
 	emuInsts            atomic.Uint64
 	simNanos            atomic.Int64
@@ -142,19 +117,40 @@ type Engine struct {
 	reports     []obs.RunReport
 }
 
-// entry is one memoized simulation point; done closes once res/err are set,
-// coalescing concurrent duplicate submissions onto a single execution.
-type entry struct {
+// memo is a singleflight map: the first caller of a key runs fn, and every
+// concurrent or later caller of that key waits for and shares its value and
+// error. A waiter cannot deadlock: entries never depend on one another, so
+// the computing goroutine always makes progress. The zero value is ready.
+type memo[V any] struct {
+	mu sync.Mutex
+	m  map[string]*memoEntry[V]
+}
+
+// memoEntry is one memoized value; done closes once v/err are set.
+type memoEntry[V any] struct {
 	done chan struct{}
-	res  sim.Result
+	v    V
 	err  error
 }
 
-// ckptEntry is one memoized fast-forward checkpoint, singleflight like entry.
-type ckptEntry struct {
-	done chan struct{}
-	cp   *ckpt.Checkpoint
-	err  error
+// do returns key's value, computing it with fn on first request; shared
+// reports that another caller computed it.
+func (m *memo[V]) do(key string, fn func() (V, error)) (v V, err error, shared bool) {
+	m.mu.Lock()
+	if ent, ok := m.m[key]; ok {
+		m.mu.Unlock()
+		<-ent.done
+		return ent.v, ent.err, true
+	}
+	if m.m == nil {
+		m.m = make(map[string]*memoEntry[V])
+	}
+	ent := &memoEntry[V]{done: make(chan struct{})}
+	m.m[key] = ent
+	m.mu.Unlock()
+	ent.v, ent.err = fn()
+	close(ent.done)
+	return ent.v, ent.err, false
 }
 
 // New returns an Engine running up to workers simulations at once;
@@ -164,11 +160,7 @@ func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Engine{
-		workers:   workers,
-		entries:   make(map[string]*entry),
-		ckEntries: make(map[string]*ckptEntry),
-	}
+	return &Engine{workers: workers}
 }
 
 // Workers reports the pool size.
@@ -178,13 +170,11 @@ func (e *Engine) Workers() int { return e.workers }
 // tier of the lookup: memory singleflight → disk store → compute, with
 // computed results and checkpoints written back. Attach before submitting
 // jobs; a nil store detaches. Store failures (unreadable entries, write
-// errors) are logged and absorbed — the disk tier can only make runs
-// cheaper, never wronger, because entries are keyed by the same fingerprint
-// that guarantees byte-identical results and validated end-to-end on read.
+// errors) are counted in store.Metrics and absorbed — the disk tier can
+// only make runs cheaper, never wronger, because entries are keyed by the
+// same fingerprint that guarantees byte-identical results and validated
+// end-to-end on read.
 func (e *Engine) SetStore(s *store.Store) { e.store = s }
-
-// Store returns the attached durable store, or nil.
-func (e *Engine) Store() *store.Store { return e.store }
 
 // SetRunReports enables collection of one obs.RunReport per executed
 // simulation (cache hits re-simulate nothing and contribute none). Off by
@@ -221,21 +211,11 @@ func (e *Engine) Progress() (done, total uint64) {
 // subscribers), so streaming never back-pressures the batch.
 func (e *Engine) SetStream(h *obs.StreamHub) { e.stream = h }
 
-// SetLog directs per-job progress lines to w (nil disables). Writes are
-// serialized internally, so any Writer is acceptable.
-func (e *Engine) SetLog(w io.Writer) {
-	e.logMu.Lock()
-	e.log = w
-	e.logMu.Unlock()
-}
-
 // Stats returns a snapshot of the cache and throughput counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Hits: e.hits.Load(), Misses: e.misses.Load(), Runs: e.runs.Load(),
 		CkptHits: e.ckHits.Load(), CkptMisses: e.ckMisses.Load(),
-		StoreHits: e.stHits.Load(), StoreMisses: e.stMisses.Load(),
-		StoreCkptHits: e.stCkHits.Load(), StoreCkptMisses: e.stCkMiss.Load(),
 		SimCycles: e.simCycles.Load(), SimInsts: e.simInsts.Load(),
 		SimTime:  time.Duration(e.simNanos.Load()),
 		EmuInsts: e.emuInsts.Load(),
@@ -256,9 +236,7 @@ func (e *Engine) Run(job Job) (sim.Result, error) {
 
 // RunAll executes the batch and returns one Outcome per job, in job order.
 // Identical jobs — within the batch or vs. earlier batches — simulate once.
-// At batch end a cache hit-rate summary is logged (when a log is attached).
 func (e *Engine) RunAll(jobs []Job) []Outcome {
-	before := e.Stats()
 	e.jobsTotal.Add(uint64(len(jobs)))
 	out := make([]Outcome, len(jobs))
 	if e.workers == 1 || len(jobs) <= 1 {
@@ -268,39 +246,14 @@ func (e *Engine) RunAll(jobs []Job) []Outcome {
 	} else {
 		e.fanOut(len(jobs), func(i int) { out[i] = e.runJob(jobs[i]) })
 	}
-	e.logBatch(len(jobs), before, e.Stats())
 	return out
 }
 
-// logBatch emits the batch-end cache summary: how the run- and
-// checkpoint-caches performed over this batch alone.
-func (e *Engine) logBatch(jobs int, before, after Stats) {
-	hits := after.Hits - before.Hits
-	misses := after.Misses - before.Misses
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = 100 * float64(hits) / float64(hits+misses)
-	}
-	stHits := after.StoreHits - before.StoreHits
-	stMisses := after.StoreMisses - before.StoreMisses
-	bypassed := uint64(jobs) - hits - misses - stHits
-	line := fmt.Sprintf("runner: batch of %d done: run-cache %d hits / %d misses (%.0f%% hit rate), %d bypassed; ckpt %d hits / %d misses",
-		jobs, hits, misses, rate, bypassed,
-		after.CkptHits-before.CkptHits, after.CkptMisses-before.CkptMisses)
-	if e.store != nil {
-		m := e.store.Metrics()
-		line += fmt.Sprintf("; store %d hits / %d misses (+ckpt %d/%d; %d KB read in %s)",
-			stHits, stMisses,
-			after.StoreCkptHits-before.StoreCkptHits, after.StoreCkptMisses-before.StoreCkptMisses,
-			m.BytesRead>>10, m.ReadTime.Round(time.Millisecond))
-	}
-	e.logf("%s", line)
-}
-
 // Map runs fn(0..n-1) across the pool and returns the lowest-index error.
-// It is the general-purpose fan-out for experiment work that is not a plain
-// sim run (functional profiles, instrumented runs); results must be written
-// into index-addressed slots by fn, which keeps assembly deterministic.
+// It is the fan-out for experiment work that is not a simulation — the
+// emulator-driven functional profiles; every simulation goes through
+// Run/RunAll. Results must be written into index-addressed slots by fn,
+// which keeps assembly deterministic.
 func (e *Engine) Map(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	if e.workers == 1 || n <= 1 {
@@ -342,9 +295,8 @@ func (e *Engine) fanOut(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// runJob executes one job through the cache. A waiter blocking on an
-// in-flight entry cannot deadlock: entries never depend on one another, so
-// the computing worker always makes progress.
+// runJob executes one job through the cache: memory singleflight, then the
+// durable store, then simulation with write-back.
 func (e *Engine) runJob(j Job) Outcome {
 	defer func() {
 		done := e.jobsDone.Add(1)
@@ -354,50 +306,35 @@ func (e *Engine) runJob(j Job) Outcome {
 	}()
 	key, cacheable := Fingerprint(j.Cfg, j.Apps, j.Opts)
 	if !cacheable {
-		e.logf("runner: run-cache bypass (unfingerprintable config): %s %v", j.Cfg.Prefetcher, j.Apps)
-		return e.execute(j)
+		res, err := e.execute(j)
+		return Outcome{Result: res, Err: err}
 	}
-	e.mu.Lock()
-	ent, found := e.entries[key]
-	if !found {
-		ent = &entry{done: make(chan struct{})}
-		e.entries[key] = ent
-		e.mu.Unlock()
-		// Second tier: the durable store. A validated entry carries the
-		// byte-identical result this job would compute (same fingerprint,
-		// same schema), so it answers the job and seeds the memory tier
-		// without simulating anything.
+	res, err, shared := e.results.do(key, func() (sim.Result, error) {
+		// A validated store entry carries the byte-identical result this
+		// job would compute (same fingerprint, same schema), so it answers
+		// the job without simulating anything.
 		if e.store != nil {
 			if res, ok := e.store.GetResult(key); ok {
-				ent.res = res
-				close(ent.done)
-				e.stHits.Add(1)
-				e.logf("runner: %-8s %v from store", j.Cfg.Prefetcher, j.Apps)
-				return Outcome{Result: res}
+				return res, nil
 			}
-			e.stMisses.Add(1)
 		}
-		o := e.execute(j)
-		ent.res, ent.err = o.Result, o.Err
-		close(ent.done)
+		res, err := e.execute(j)
 		e.misses.Add(1)
-		if e.store != nil && o.Err == nil {
-			if err := e.store.PutResult(key, o.Result); err != nil {
-				e.logf("runner: store write-back failed (continuing): %v", err)
-			}
+		if e.store != nil && err == nil {
+			_ = e.store.PutResult(key, res) // failures count in store.Metrics().WriteErrs
 		}
-		return o
+		return res, err
+	})
+	if shared {
+		e.hits.Add(1)
 	}
-	e.mu.Unlock()
-	<-ent.done
-	e.hits.Add(1)
-	return Outcome{Result: ent.res, Err: ent.err}
+	return Outcome{Result: res, Err: err}
 }
 
 // execute performs the actual simulation. Fast-forward protocols boot from
 // the engine's checkpoint cache so each workload's prefix is emulated once.
-func (e *Engine) execute(j Job) Outcome {
-	start := time.Now() //bfetch:wallclock per-run elapsed time, logged only
+func (e *Engine) execute(j Job) (sim.Result, error) {
+	start := time.Now() //bfetch:wallclock per-run elapsed time, reported only
 	var res sim.Result
 	var err error
 	if ff := j.Opts.FastForwardInsts; ff > 0 {
@@ -419,21 +356,18 @@ func (e *Engine) execute(j Job) Outcome {
 		}
 		e.simCycles.Add(cycles)
 		e.simInsts.Add(insts)
-		e.report(j, res, insts, elapsed)
+		e.report(j, res, elapsed)
 		e.publishRun(j, res, insts, elapsed)
 	}
-	e.logf("runner: %-8s %v done in %s", j.Cfg.Prefetcher, j.Apps,
-		elapsed.Round(time.Millisecond))
-	return Outcome{Result: res, Err: err}
+	return res, err
 }
 
-// report records one executed run's observability document, if collection
-// is enabled.
-func (e *Engine) report(j Job, res sim.Result, insts uint64, elapsed time.Duration) {
-	e.repMu.Lock()
-	defer e.repMu.Unlock()
-	if !e.keepReports {
-		return
+// Report builds the observability document for one finished run of j,
+// elapsed being the wall time spent simulating it.
+func Report(j Job, res sim.Result, elapsed time.Duration) obs.RunReport {
+	var insts uint64
+	for _, cs := range res.Core {
+		insts += cs.Committed
 	}
 	r := obs.RunReport{
 		Engine:      string(j.Cfg.Prefetcher),
@@ -447,7 +381,17 @@ func (e *Engine) report(j Job, res sim.Result, insts uint64, elapsed time.Durati
 		WallSeconds: elapsed.Seconds(),
 	}
 	r.Finalize()
-	e.reports = append(e.reports, r)
+	return r
+}
+
+// report records one executed run's observability document, if collection
+// is enabled.
+func (e *Engine) report(j Job, res sim.Result, elapsed time.Duration) {
+	e.repMu.Lock()
+	defer e.repMu.Unlock()
+	if e.keepReports {
+		e.reports = append(e.reports, Report(j, res, elapsed))
+	}
 }
 
 // publishRun streams one executed run: a summary event, then the run's
@@ -497,65 +441,37 @@ func (e *Engine) checkpoints(apps []string, ff uint64) ([]*ckpt.Checkpoint, erro
 }
 
 // checkpoint returns the memoized fast-forward checkpoint for one
-// (workload, ffInsts) point, emulating it on first request. Concurrent
-// requests for the same point coalesce onto a single emulation, exactly
-// like runJob's result cache. Workload names are a sound cache key because
+// (workload, ffInsts) point: from memory, else from the durable store, else
+// emulated and written back. Workload names are a sound cache key because
 // workload builds are deterministic (the workload package's contract — the
 // same property the run-cache fingerprint relies on).
 func (e *Engine) checkpoint(name string, ff uint64) (*ckpt.Checkpoint, error) {
-	key := fmt.Sprintf("%s|%d", name, ff)
-	e.ckMu.Lock()
-	ent, found := e.ckEntries[key]
-	if !found {
-		ent = &ckptEntry{done: make(chan struct{})}
-		e.ckEntries[key] = ent
-		e.ckMu.Unlock()
-		// Second tier: a durable checkpoint replaces the whole prefix
-		// emulation with one disk read. The key is content-addressed over
-		// the workload's built program and initial image, so a changed
-		// kernel generator can never resurrect stale state.
+	cp, err, shared := e.ckpts.do(fmt.Sprintf("%s|%d", name, ff), func() (*ckpt.Checkpoint, error) {
+		// The store key is content-addressed over the workload's built
+		// program and initial image, so a changed kernel generator can
+		// never resurrect stale state.
 		var storeKey string
 		if e.store != nil {
 			if k, err := store.CheckpointKey(name, ff); err == nil {
 				storeKey = k
 				if cp, ok := e.store.GetCheckpoint(storeKey, name, ff); ok {
-					ent.cp = cp
-					close(ent.done)
-					e.stCkHits.Add(1)
-					e.logf("runner: checkpoint %-12s ff=%d from store (%d KB image)",
-						name, ff, cp.FootprintBytes()>>10)
-					return ent.cp, nil
+					return cp, nil
 				}
-				e.stCkMiss.Add(1)
 			}
 		}
-		start := time.Now() //bfetch:wallclock checkpoint-build timing, logged only
-		ent.cp, ent.err = ckpt.ByName(name, ff)
-		close(ent.done)
+		cp, err := ckpt.ByName(name, ff)
 		e.ckMisses.Add(1)
-		if e.store != nil && storeKey != "" && ent.err == nil {
-			if err := e.store.PutCheckpoint(storeKey, ent.cp); err != nil {
-				e.logf("runner: checkpoint store write-back failed (continuing): %v", err)
-			}
+		if err != nil {
+			return nil, err
 		}
-		if ent.cp != nil {
-			e.emuInsts.Add(ent.cp.Arch.Retired)
-			e.logf("runner: checkpoint %-12s ff=%d built in %s (%d KB image)",
-				name, ff, time.Since(start).Round(time.Millisecond), //bfetch:wallclock log line only
-				ent.cp.FootprintBytes()>>10)
+		e.emuInsts.Add(cp.Arch.Retired)
+		if storeKey != "" {
+			_ = e.store.PutCheckpoint(storeKey, cp) // failures count in store.Metrics().WriteErrs
 		}
-		return ent.cp, ent.err
+		return cp, nil
+	})
+	if shared {
+		e.ckHits.Add(1)
 	}
-	e.ckMu.Unlock()
-	<-ent.done
-	e.ckHits.Add(1)
-	return ent.cp, ent.err
-}
-
-func (e *Engine) logf(format string, args ...any) {
-	e.logMu.Lock()
-	defer e.logMu.Unlock()
-	if e.log != nil {
-		fmt.Fprintf(e.log, format+"\n", args...)
-	}
+	return cp, err
 }

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -183,18 +182,6 @@ func TestMap(t *testing.T) {
 	})
 	if err == nil || err.Error() != "boom 3" {
 		t.Errorf("Map error = %v, want lowest-index boom 3", err)
-	}
-}
-
-func TestEngineLog(t *testing.T) {
-	var buf bytes.Buffer
-	e := New(1)
-	e.SetLog(&buf)
-	if _, err := e.Run(Solo(sim.Default(sim.PFNone), "gamess", tinyOpts())); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "gamess") {
-		t.Errorf("log = %q", buf.String())
 	}
 }
 

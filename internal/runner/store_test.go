@@ -1,9 +1,7 @@
 package runner
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -52,15 +50,13 @@ func TestStoreTwoTierLookup(t *testing.T) {
 	cold := New(4)
 	cold.SetStore(st1)
 	coldOut := cold.RunAll(jobs)
-	cs := cold.Stats()
-	if cs.Runs != 3 || cs.StoreMisses != 3 || cs.StoreHits != 0 {
-		t.Fatalf("cold stats %+v, want 3 runs / 3 store misses", cs)
+	if cs := cold.Stats(); cs.Runs != 3 {
+		t.Fatalf("cold stats %+v, want 3 runs", cs)
 	}
-	if cs.StoreCkptMisses != 2 || cs.StoreCkptHits != 0 {
-		t.Fatalf("cold ckpt-store stats %+v, want 2 misses", cs)
-	}
-	if m := st1.Metrics(); m.Writes != 5 { // 3 results + 2 checkpoints
-		t.Fatalf("cold store wrote %d entries, want 5", m.Writes)
+	// 3 distinct results + 2 distinct checkpoints, each looked up once and
+	// written back once.
+	if m := st1.Metrics(); m.Misses != 5 || m.Hits != 0 || m.Writes != 5 {
+		t.Fatalf("cold store metrics %+v, want 5 misses and 5 writes", m)
 	}
 
 	st2, err := store.Open(dir)
@@ -74,8 +70,9 @@ func TestStoreTwoTierLookup(t *testing.T) {
 	if ws.Runs != 0 || ws.EmuInsts != 0 {
 		t.Errorf("warm run computed something: %+v", ws)
 	}
-	if ws.StoreHits != 3 || ws.StoreMisses != 0 {
-		t.Errorf("warm run not 100%% store hits: %+v", ws)
+	// The 3 results answer from disk, so no checkpoint is looked up.
+	if m := st2.Metrics(); m.Hits != 3 || m.Misses != 0 {
+		t.Errorf("warm run not 100%% store hits: %+v", m)
 	}
 	if ws.Hits != 1 { // the duplicate job still lands in the memory tier
 		t.Errorf("memory tier lost the duplicate: %+v", ws)
@@ -122,8 +119,12 @@ func TestStoreCheckpointTier(t *testing.T) {
 	if ws.Runs != 1 {
 		t.Fatalf("expected a simulation: %+v", ws)
 	}
-	if ws.StoreCkptHits != 1 || ws.CkptMisses != 0 || ws.EmuInsts != 0 {
+	if ws.CkptMisses != 0 || ws.EmuInsts != 0 {
 		t.Errorf("checkpoint not restored from store: %+v", ws)
+	}
+	// One result miss, then one checkpoint hit.
+	if m := st2.Metrics(); m.Hits != 1 || m.Misses != 1 {
+		t.Errorf("store metrics %+v, want 1 checkpoint hit and 1 result miss", m)
 	}
 }
 
@@ -145,23 +146,10 @@ func TestStoreWorkerCountInvariant(t *testing.T) {
 	e8.SetStore(st8)
 	out8 := e8.RunAll(jobs)
 
-	if s := e8.Stats(); s.Runs != 0 || s.StoreMisses != 0 {
-		t.Errorf("-j 8 over a warm shared store recomputed: %+v", s)
+	if s, m := e8.Stats(), st8.Metrics(); s.Runs != 0 || m.Misses != 0 {
+		t.Errorf("-j 8 over a warm shared store recomputed: %+v, store %+v", s, m)
 	}
 	for i := range jobs {
 		sameResult(t, "j1 vs j8", out1[i].Result, out8[i].Result)
-	}
-}
-
-// TestStoreBatchLog checks the batch summary names the disk tier.
-func TestStoreBatchLog(t *testing.T) {
-	st, _ := store.Open(t.TempDir())
-	e := New(1)
-	e.SetStore(st)
-	var buf bytes.Buffer
-	e.SetLog(&buf)
-	e.RunAll([]Job{Solo(sim.Default(sim.PFNone), "mcf", tinyOpts())})
-	if out := buf.String(); !strings.Contains(out, "store 0 hits / 1 misses") {
-		t.Errorf("batch log lacks store summary:\n%s", out)
 	}
 }

@@ -23,6 +23,30 @@ func TestISBAndSTeMSRunThroughSystem(t *testing.T) {
 	}
 }
 
+// TestMetaBytesMetric pins that ISB's and STeMS's exported
+// c0.pf.meta_bytes reads the prefetcher's live meta-data footprint, so a
+// run's Result carries it.
+func TestMetaBytesMetric(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []PrefetcherKind{PFISB, PFSTeMS} {
+		s, err := New(Default(kind), []workload.Workload{w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Run(20_000, 20_000_000); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		live := s.PFs[0].(interface{ MetaBytes() int }).MetaBytes()
+		got, ok := s.Reg.Snapshot().Get("c0.pf.meta_bytes")
+		if !ok || live == 0 || got != uint64(live) {
+			t.Errorf("%s: c0.pf.meta_bytes = %d (present %v), live MetaBytes() = %d", kind, got, ok, live)
+		}
+	}
+}
+
 func TestCustomFactoryPerCore(t *testing.T) {
 	calls := 0
 	cfg := Default(PFCustom)

@@ -80,7 +80,7 @@ type Metrics struct {
 	Misses        uint64 // lookups answered "not here" (absent or invalid)
 	CorruptMisses uint64 // the subset of misses where a file existed but failed validation
 	Writes        uint64 // entries written back
-	WriteErrs     uint64 // write-backs that failed (logged, never fatal)
+	WriteErrs     uint64 // write-backs that failed (counted, never fatal)
 	BytesRead     uint64 // payload bytes of validated reads
 	BytesWritten  uint64 // payload bytes written back
 	ReadTime      time.Duration
@@ -209,9 +209,9 @@ func (s *Store) read(path, key string) (payload []byte, ok, corrupt bool) {
 
 // Put writes the entry for (kind, key) atomically: temp file in the final
 // directory, then rename. An existing entry is overwritten — that is the
-// write-back repair path for corrupt files. Errors are returned for the
-// caller to log; they must never fail the computation that produced the
-// payload.
+// write-back repair path for corrupt files. Errors are returned and counted
+// in Metrics.WriteErrs; they must never fail the computation that produced
+// the payload.
 func (s *Store) Put(kind, key string, payload []byte) error {
 	err := s.put(kind, key, payload)
 	if err != nil {

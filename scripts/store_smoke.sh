@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # store_smoke.sh — end-to-end smoke test of the durable artifact store.
 #
-# Runs one experiment twice against a shared -store directory and asserts
+# Runs two experiments twice against a shared -store directory and asserts
 # the contract the store ships with: the second run computes nothing (zero
 # sims, zero store misses, 100% answered from disk) and its tables are
 # byte-identical to the first run's. A second leg repeats the check across
@@ -21,7 +21,7 @@ echo "== build"
 go build -o "$workdir/bfetch-bench" ./cmd/bfetch-bench
 go build -o "$workdir/bfetch-sim" ./cmd/bfetch-sim
 
-proto=(-exp fig8 -workloads mcf,lbm,milc -ff 50000 -warmup 10000 -measure 20000 -q)
+proto=(-exp fig8,ext-depth -workloads mcf,lbm,milc -ff 50000 -warmup 10000 -measure 20000 -q)
 
 echo "== cold run (populates the store)"
 "$workdir/bfetch-bench" "${proto[@]}" -store "$workdir/store" \
@@ -35,11 +35,13 @@ grep -q 'store:.*misses' "$workdir/cold.err" || {
 echo "== warm run (must compute nothing)"
 "$workdir/bfetch-bench" "${proto[@]}" -store "$workdir/store" \
     -out "$workdir/warm" >/dev/null 2>"$workdir/warm.err"
-grep -q '^fig8 finished in .* (0 sims run' "$workdir/warm.err" || {
-    echo "warm run simulated something:" >&2
-    cat "$workdir/warm.err" >&2
-    exit 1
-}
+for exp in fig8 ext-depth; do
+    grep -q "^$exp finished in .* (0 sims run" "$workdir/warm.err" || {
+        echo "warm run simulated something in $exp:" >&2
+        cat "$workdir/warm.err" >&2
+        exit 1
+    }
+done
 grep -Eq 'store: [1-9][0-9]* hits, 0 misses' "$workdir/warm.err" || {
     echo "warm run was not 100% store hits:" >&2
     cat "$workdir/warm.err" >&2
