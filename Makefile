@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale perf obs-smoke store-smoke clean
+.PHONY: all build test vet lint lint-full verify verify-full verify-race race bench bench-smoke bench-scale perf perf-pairs obs-smoke store-smoke clean
 
 # Packages exercising concurrency: the parallel experiment engine, the
 # copy-on-write memory forks, shared-checkpoint restores, and the durable
@@ -86,6 +86,17 @@ perf:
 	for w in core-bound cmp16-mem fig8-sweep; do \
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 30 --trace 0 || exit 1; \
 	done
+
+# Paired A/B benchmark of two revisions: N alternating perfbench runs per
+# side, each side built in its own git worktree; prints medians, quartiles
+# and win counts per end-to-end metric and fails if the result_digests
+# differ. Example: make perf-pairs OLD=HEAD~1 NEW=HEAD WL=cmp16-mem N=10
+OLD ?= HEAD~1
+NEW ?= HEAD
+WL ?= cmp16-mem
+N ?= 10
+perf-pairs:
+	bash scripts/perf_pairs.sh $(OLD) $(NEW) $(WL) $(N)
 
 # Observability smoke test: tiny batch with the live -http endpoint up,
 # scrape it, and validate every obs JSON document against its schema.

@@ -60,6 +60,10 @@ type consRef struct {
 	srcIdx int
 }
 
+// robEntry is one ROB slot. Dispatch zeroes and refills a whole entry per
+// instruction, so its size (288 bytes on 64-bit hosts) is hot-path cost:
+// rename recovery therefore keeps no per-branch copy of the rename table
+// (768 bytes), only each renamed entry's displaced mapping (prevMap).
 type robEntry struct {
 	seq   uint64 // 0 = free/squashed
 	slot  int
@@ -91,10 +95,14 @@ type robEntry struct {
 	predNext    int // predicted next instruction index; -1 = fetch stalled
 	ghr         branch.GHR
 	pred        branch.Pred
-	ratSnap     [isa.NumRegs]ratEntry
-	hasSnap     bool
 	actualTaken bool
 	actualNext  int
+
+	// prevMap is the destination register's rename mapping before this
+	// entry renamed it: recover's tail walk puts it back (undo-log
+	// recovery), youngest writer first, so the oldest squashed writer's
+	// prevMap is what survives.
+	prevMap ratEntry
 }
 
 type fqEntry struct {
@@ -165,7 +173,14 @@ type Core struct {
 	// side effects (no port use, no counters). Stores *entering* the queue
 	// do not advance it: a new store is younger than every already-pending
 	// load, and disambiguation only looks at older stores.
-	sqGen uint64
+	//
+	// pendSettled counts the pendBM loads with sqWait == sqGen: loads that
+	// cannot act until the generation moves. tryLoad's blocked verdict
+	// increments it and every generation bump (sqAdvance) zeroes it, so
+	// while it equals pendBM's population the pending loads are no work for
+	// issue and no reason for NextEvent to keep the core awake.
+	sqGen       uint64
+	pendSettled int
 
 	// fq is the fetch queue as a ring: capacity cfg.FetchQueue, allocated
 	// once. (A plain slice advanced with fq[1:] would re-allocate its
@@ -324,6 +339,9 @@ func bmSet(bm []uint64, s int) { bm[s>>6] |= 1 << (uint(s) & 63) }
 func bmClear(bm []uint64, s int) { bm[s>>6] &^= 1 << (uint(s) & 63) }
 
 //bfetch:hotpath
+func bmHas(bm []uint64, s int) bool { return bm[s>>6]&(1<<(uint(s)&63)) != 0 }
+
+//bfetch:hotpath
 func bmAny(bm []uint64) bool {
 	//bfetch:bce
 	for _, w := range bm {
@@ -453,7 +471,7 @@ func (c *Core) commit(now uint64) {
 			}
 			c.sqN--
 			c.sqBuckDrop(e.ea) // a committed store always resolved its address
-			c.sqGen++          // drained: loads blocked behind it may pass now
+			c.sqAdvance()      // drained: loads blocked behind it may pass now
 		}
 		e.seq = 0
 		if c.headSlot++; c.headSlot == len(c.rob) {
@@ -555,6 +573,19 @@ func (c *Core) recover(e *robEntry, now uint64) {
 				c.sqUnknown--
 			}
 		}
+		if t.inst.HasDest() {
+			// Undo the rename, dropping a mapping whose producer committed
+			// while the branch was in flight (the committed register file
+			// holds its value, and dispatch trusts a valid mapping to name
+			// a live entry). The walk runs youngest first, so each
+			// register ends on its oldest squashed writer's prevMap: the
+			// mapping it had when e dispatched, as e has no destination.
+			m := t.prevMap
+			if m.valid && c.entry(m.ref) == nil {
+				m.valid = false
+			}
+			c.rat[t.inst.DestReg()] = m
+		}
 		t.seq = 0
 		t.cons = t.cons[:0]
 		bmClear(c.readyBM, ts)
@@ -573,17 +604,7 @@ func (c *Core) recover(e *robEntry, now uint64) {
 	for c.sqN > 0 && c.sqAt(c.sqN-1).seq > e.seq {
 		c.sqN--
 	}
-	c.sqGen++
-
-	// Restore the rename table from the branch's snapshot, dropping
-	// mappings to entries that committed while the branch was in flight.
-	for r := range c.rat {
-		s := e.ratSnap[r]
-		if s.valid && c.entry(s.ref) == nil {
-			s.valid = false
-		}
-		c.rat[r] = s
-	}
+	c.sqAdvance()
 
 	// Redirect fetch.
 	if e.actualNext >= 0 && e.actualNext < c.prog.Len() {
@@ -615,17 +636,22 @@ func (c *Core) issue(now uint64) {
 	ports := c.cfg.CachePorts
 
 	// Blocked loads retry first (they already consumed an issue slot),
-	// oldest first — the age-order walk doubles as the port arbiter.
+	// oldest first — the age-order walk doubles as the port arbiter. Only
+	// unsettled loads retry: those parked for a port, and those whose
+	// verdict predates the current store-queue generation. When every
+	// pending load is settled the walk is skipped outright, and it stops
+	// once the last unsettled one has been tried.
 	var it bmIter
-	if bmAny(c.pendBM) {
+	if todo := c.pendUnsettled(); todo > 0 {
 		it.init(c.pendBM, c.headSlot)
-		for s, ok := it.next(); ok && ports > 0; s, ok = it.next() {
+		for s, ok := it.next(); ok && ports > 0 && todo > 0; s, ok = it.next() {
 			e := &c.rob[s]
 			if e.sqWait == c.sqGen {
 				// Store queue unchanged since this load was last rejected:
 				// the verdict cannot have moved, skip the rescan.
 				continue
 			}
+			todo--
 			if c.tryLoad(e, now) {
 				ports--
 				bmClear(c.pendBM, s)
@@ -681,7 +707,7 @@ func (c *Core) execute(e *robEntry, now uint64, ports *int) {
 		// from the unknown counter to its address bucket.
 		c.sqUnknown--
 		c.sqBuckAdd(e.ea)
-		c.sqGen++ // resolved: blocked loads can re-disambiguate
+		c.sqAdvance() // resolved: blocked loads can re-disambiguate
 	case in.IsControl():
 		e.actualTaken = emu.BranchTaken(in.Op, e.srcVal[0])
 		switch {
@@ -718,6 +744,7 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 	fwd, val, blocked := c.disambiguate(e)
 	if blocked {
 		e.sqWait = c.sqGen
+		c.pendSettled++
 		return false
 	}
 	if fwd {
@@ -751,6 +778,29 @@ func (c *Core) tryLoad(e *robEntry, now uint64) bool {
 	}
 	bmSet(c.inflightBM, e.slot)
 	return true
+}
+
+// sqAdvance moves the store-queue generation: every blocked verdict is
+// stale, so no pending load is settled any more.
+//
+//bfetch:hotpath
+func (c *Core) sqAdvance() {
+	c.sqGen++
+	c.pendSettled = 0
+}
+
+// pendUnsettled counts the pending loads that can act on the next cycle:
+// those parked for a port and those whose blocked verdict predates the
+// current store-queue generation.
+//
+//bfetch:hotpath
+func (c *Core) pendUnsettled() int {
+	n := -c.pendSettled
+	//bfetch:bce
+	for _, w := range c.pendBM {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // sqBucket hashes an access address to a disambiguation filter bucket.
@@ -850,16 +900,15 @@ func (c *Core) dispatch(now uint64) {
 				e.srcVal[i] = 0
 				continue
 			}
+			// A valid mapping always names a live entry (commit releases
+			// the mapping it owns, and recover drops a restored one whose
+			// producer has committed), so p is never nil here.
 			m := c.rat[reg]
 			if !m.valid {
 				e.srcVal[i] = c.cregs[reg]
 				continue
 			}
 			p := c.entry(m.ref)
-			if p == nil {
-				e.srcVal[i] = c.cregs[reg]
-				continue
-			}
 			if p.state == sDone {
 				e.srcVal[i] = p.destVal
 				continue
@@ -868,9 +917,12 @@ func (c *Core) dispatch(now uint64) {
 			e.nsrc++
 		}
 
-		// Rename destination.
+		// Rename destination, remembering the displaced mapping for
+		// recover's undo walk.
 		if in.HasDest() {
-			c.rat[in.DestReg()] = ratEntry{ref: ref{slot: slot, seq: seq}, valid: true}
+			r := in.DestReg()
+			e.prevMap = c.rat[r]
+			c.rat[r] = ratEntry{ref: ref{slot: slot, seq: seq}, valid: true}
 		}
 
 		if in.IsStore() {
@@ -883,11 +935,9 @@ func (c *Core) dispatch(now uint64) {
 			c.sqUnknown++ // address unknown until the store executes
 		}
 
-		// Control instructions snapshot the RAT for recovery and feed the
-		// prefetcher's decoded-branch register.
+		// Control instructions feed the prefetcher's decoded-branch
+		// register.
 		if in.IsControl() {
-			e.ratSnap = c.rat
-			e.hasSnap = true
 			var target uint64
 			if in.IsDirect() {
 				target = c.prog.PC(in.Target)
@@ -1022,17 +1072,20 @@ const NoEvent = ^uint64(0)
 // bit-identical results to ticking every cycle.
 //
 // Each pipeline stage contributes its wake-up condition; anything that could
-// act on the very next cycle (ready entries, blocked loads retrying for a
-// port, a busy prefetch engine) pins the next event to now+1.
+// act on the very next cycle (ready entries, unsettled pending loads, a busy
+// prefetch engine) pins the next event to now+1.
 //
 //bfetch:hotpath
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.halted {
 		return NoEvent
 	}
-	// Issue has work queued, blocked loads retry every cycle, and a non-idle
-	// prefetch engine ticks every cycle: no skipping.
-	if bmAny(c.readyBM) || bmAny(c.pendBM) || !c.pf.Idle() {
+	// Issue has work queued, an unsettled pending load retries next cycle,
+	// and a non-idle prefetch engine ticks every cycle: no skipping. Settled
+	// loads wait on a sqGen bump, which only a store resolving (issue, from
+	// the ready bitmap), a store committing (the commit event below) or a
+	// squash (a branch completing, the in-flight events below) can cause.
+	if bmAny(c.readyBM) || c.pendUnsettled() > 0 || !c.pf.Idle() {
 		return now + 1
 	}
 	next := uint64(NoEvent)

@@ -260,3 +260,130 @@ func TestCommitWidthBound(t *testing.T) {
 		}
 	}
 }
+
+// runEventCore drives c the way sim's event loop does: tick, ask NextEvent,
+// credit the skipped cycles with AddIdleCycles, jump. It checks CheckSched
+// after every tick and counts the cycles skipped while a settled blocked
+// load was pending — the skips the pendSettled count makes possible.
+func runEventCore(t *testing.T, c *Core, maxCycles uint64) (settledSkips uint64) {
+	t.Helper()
+	for now := uint64(0); !c.Halted() && now < maxCycles; {
+		c.Cycle(now)
+		if err := c.CheckSched(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+		next := c.NextEvent(now)
+		if next == NoEvent {
+			break
+		}
+		if next > now+1 {
+			if bmAny(c.pendBM) {
+				settledSkips += next - now - 1
+			}
+			c.AddIdleCycles(now+1, next-now-1)
+		}
+		now = next
+	}
+	return settledSkips
+}
+
+func TestSettledLoadsLetCoreSleep(t *testing.T) {
+	// The store's address waits on a cold DRAM miss, so the younger loads —
+	// whose own addresses are ready — issue, find an unknown older store
+	// address and park on disambiguation. Their verdict cannot change until
+	// the store resolves, so the core must sleep through the miss instead of
+	// re-walking them every cycle, and the event-driven run must match the
+	// naive one counter for counter, CPI buckets included.
+	image := mem.New()
+	image.WriteInt64(0x100000, 0x200000) // the store's base pointer
+	prog := isa.MustAssemble(`
+		movi r1, 0x100000
+		ld   r2, 0(r1)        ; DRAM miss: the store's base
+		st   r1, 0(r2)        ; address unknown until r2 arrives
+		ld   r3, 0x1000(r1)   ; younger loads, parked behind the store
+		ld   r4, 0x2000(r1)
+		ld   r5, 0x3000(r1)
+		add  r6, r3, r4
+		add  r6, r6, r5
+		halt
+	`)
+	cfg := DefaultConfig()
+	cfg.CPIStack = true
+	none := allocEngines[0].mk
+
+	naive := newAllocCoreCfg(cfg, prog, image.Clone(), none)
+	if _, err := naive.Run(100, 100_000); err != nil {
+		t.Fatal(err)
+	}
+	event := newAllocCoreCfg(cfg, prog, image.Clone(), none)
+	skips := runEventCore(t, event, 100_000)
+
+	if !naive.Halted() || !event.Halted() {
+		t.Fatalf("halted: naive %v, event %v", naive.Halted(), event.Halted())
+	}
+	if skips < 100 {
+		t.Errorf("skipped %d cycles with settled loads pending; want the DRAM stall (>= 100)", skips)
+	}
+	if naive.Stats != event.Stats {
+		t.Errorf("stats diverge\nnaive: %+v\nevent: %+v", naive.Stats, event.Stats)
+	}
+	if naive.Regs() != event.Regs() {
+		t.Errorf("registers diverge\nnaive: %v\nevent: %v", naive.Regs(), event.Regs())
+	}
+}
+
+func TestUndoRecoveryDropsCommittedProducer(t *testing.T) {
+	// Each iteration's branch waits on a cold DRAM miss and is taken at
+	// random. When it was predicted not taken, the fall-through addis are
+	// squashed writers, and recover's undo walk must put back what they
+	// displaced:
+	//   - r4's prevMap names P, a multiply that committed while the branch
+	//     was in flight: the dropped-mapping case, where the consumer must
+	//     read r4 from the committed register file;
+	//   - r9's prevMap names Q, a load chained on the same miss that is
+	//     still in flight when the branch resolves: the live case, where a
+	//     missing or misordered undo leaves the consumer reading a stale r9.
+	const n = 300
+	image := mem.New()
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		image.WriteInt64(uint64(0x100000+64*i), int64(x&1))
+		image.WriteInt64(uint64(0x100000+64*i+8), int64(0x800000+64*i))
+		image.WriteInt64(uint64(0x800000+64*i), int64(i+3))
+	}
+	prog := isa.MustAssemble(`
+		movi r1, 0x100000
+		movi r2, 300
+		movi r3, 0
+	loop:
+		mul  r4, r2, r2      ; P: commits during the miss below
+		ld   r5, 0(r1)       ; cold DRAM miss
+		ld   r8, 8(r1)       ; same block: returns with r5
+		ld   r9, 0(r8)       ; Q: a second miss, in flight when the branch resolves
+		beqz r5, skip        ; resolves only when the miss returns
+		addi r4, r4, 1       ; squashed writers when the branch is taken
+		addi r9, r9, 1
+	skip:
+		add  r3, r3, r4
+		add  r3, r3, r9
+		addi r1, r1, 64
+		addi r2, r2, -1
+		bnez r2, loop
+		halt
+	`)
+	core, _ := runBoth(t, prog, image, 1<<20)
+	if core.Stats.BranchMispredicts == 0 || core.Stats.Squashed == 0 {
+		t.Errorf("no squashes (mispredicts %d, squashed %d): the kernel does not exercise recovery",
+			core.Stats.BranchMispredicts, core.Stats.Squashed)
+	}
+	// The event-driven run checks the scheduling state after every tick
+	// (CheckSched) and must match the naive run.
+	event := newTestCore(prog, image.Clone(), nil)
+	runEventCore(t, event, 1<<20)
+	if event.Stats != core.Stats {
+		t.Errorf("event-driven stats diverge\nnaive: %+v\nevent: %+v", core.Stats, event.Stats)
+	}
+}

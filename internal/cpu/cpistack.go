@@ -36,7 +36,9 @@ import (
 // the NextEvent no-op contract guarantees that state is frozen across an
 // event-loop gap — so AddIdleCycles can replay the per-cycle charges as a
 // piecewise-constant segment walk (chargeGap), bit-identical to the naive
-// loop charging every cycle.
+// loop charging every cycle. A gap may hold settled pending loads (blocked
+// until the store-queue generation moves) but never a ready entry, so
+// chargeGap sees the same head states classify does.
 
 // chargeCycle charges the cycle just processed by commit(now); committed is
 // Stats.Committed sampled before commit ran.
@@ -62,7 +64,7 @@ func (c *Core) classify(now uint64) obs.CPIBucket {
 	}
 	e := &c.rob[c.headSlot]
 	if e.inst.IsLoad() && e.state == sIssued {
-		if c.pendBM[e.slot>>6]&(1<<(uint(e.slot)&63)) != 0 {
+		if bmHas(c.pendBM, e.slot) {
 			return obs.CPIStoreQueue
 		}
 		if e.memClass {
@@ -127,8 +129,11 @@ func (c *Core) chargeGap(from, end uint64) {
 		c.Stats.CPI[obs.CPIFetchStall] += end - from
 		return
 	}
-	// Gap cycles have empty ready/pend bitmaps, so a non-empty ROB's head is
-	// an in-flight entry: a load in memory walks its segments, anything else
+	// Gap cycles have an empty ready bitmap, and every pending load in them
+	// is settled (blocked until sqGen moves). A settled load is never at the
+	// head: a head load has no older store to wait on, and a store commit
+	// unsettles every parked load (CheckSched pins this). So the head is an
+	// in-flight entry: a load in memory walks its segments, anything else
 	// (ALU/branch latency, a forwarded load) is Base — exactly classify's
 	// verdict for each skipped cycle.
 	e := &c.rob[c.headSlot]

@@ -71,18 +71,9 @@ func runCPIStack(p Params) ([]*stats.Table, error) {
 	// 16-core mix: the highest-FOA 16-application mix on the scale-out
 	// memory system (banked LLC, channeled DRAM), so the queueing buckets —
 	// llc_bank_queue, dram_chan_queue — have real contention to attribute.
-	foa, err := workload.FOAProfiles(foaProfileInsts)
+	foa, err := p.foaProfiles()
 	if err != nil {
 		return nil, err
-	}
-	allowed := map[string]bool{}
-	for _, name := range ws {
-		allowed[name] = true
-	}
-	for name := range foa {
-		if !allowed[name] {
-			delete(foa, name)
-		}
 	}
 	mixes := workload.SelectMixes(16, 1, foa)
 	if len(mixes) == 0 {

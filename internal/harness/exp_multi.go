@@ -44,20 +44,47 @@ func init() {
 // foaProfileInsts is the functional profile length behind mix selection.
 const foaProfileInsts = 100_000
 
-func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
-	foa, err := workload.FOAProfiles(foaProfileInsts)
+// foaProfiles returns the FOA reach rate of every workload in the requested
+// subset, for mix selection. The profiles are functional emulation like
+// fig3/fig7's, so they run the same way: fanned out with Runner.Map and
+// counted with AddEmuInsts. Runner.Once computes them once per engine, so
+// fig9, fig10, scale and cpistack in one batch share a single profiling
+// pass. The returned map is the caller's to modify.
+func (p Params) foaProfiles() (map[string]float64, error) {
+	eng := p.Runner
+	v, err := eng.Once("foa", func() (any, error) {
+		ws := workload.All()
+		foa := make([]float64, len(ws))
+		err := eng.Map(len(ws), func(i int) error {
+			var n uint64
+			var err error
+			foa[i], n, err = workload.FOAProfile(ws[i], foaProfileInsts)
+			eng.AddEmuInsts(n)
+			return err
+		})
+		byName := make(map[string]float64, len(ws))
+		for i, w := range ws {
+			byName[w.Name] = foa[i]
+		}
+		return byName, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Restrict to the requested workload subset, if any.
-	allowed := map[string]bool{}
+	all := v.(map[string]float64)
+	out := make(map[string]float64, len(all))
 	for _, name := range p.workloads() {
-		allowed[name] = true
-	}
-	for name := range foa {
-		if !allowed[name] {
-			delete(foa, name)
+		if foa, ok := all[name]; ok {
+			out[name] = foa
 		}
+	}
+	return out, nil
+}
+
+func runMixes(p Params, n int, figure string) ([]*stats.Table, error) {
+	foa, err := p.foaProfiles()
+	if err != nil {
+		return nil, err
 	}
 	mixes := workload.SelectMixes(n, p.Mixes, foa)
 	if len(mixes) == 0 {

@@ -35,18 +35,9 @@ func runScale(p Params) ([]*stats.Table, error) {
 	if len(counts) == 0 {
 		counts = scaleDefaultCores
 	}
-	foa, err := workload.FOAProfiles(foaProfileInsts)
+	foa, err := p.foaProfiles()
 	if err != nil {
 		return nil, err
-	}
-	allowed := map[string]bool{}
-	for _, name := range p.workloads() {
-		allowed[name] = true
-	}
-	for name := range foa {
-		if !allowed[name] {
-			delete(foa, name)
-		}
 	}
 
 	// One top-contention mix per core count; the sweep axis is the CMP

@@ -9,6 +9,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // These tests pin the tentpole guarantees of the parallel engine: parallel
@@ -187,5 +188,47 @@ func TestExtTablesReadEngineResults(t *testing.T) {
 	}
 	if row := findRow(isb[2], "ISB"); !strings.Contains(row, wantKB) {
 		t.Errorf("ext-isb ISB row %q, want %s from the engine's result", row, wantKB)
+	}
+}
+
+// TestFOAProfilesCountedOncePerEngine pins the mix-selection profiles as
+// counted engine work: the first request emulates every workload's profile
+// and reports it in EmuInsts, later requests on the same engine reuse it and
+// emulate nothing, and each caller gets its own copy of the subset it asked
+// for, equal to the sequential workload.FOAProfiles.
+func TestFOAProfilesCountedOncePerEngine(t *testing.T) {
+	want, err := workload.FOAProfiles(foaProfileInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tinyParams()
+	p.Runner = runner.New(2)
+	got, err := p.foaProfiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emu := p.Runner.Stats().EmuInsts
+	if n := uint64(len(workload.All())) * foaProfileInsts; emu != n {
+		t.Errorf("first profiling emulated %d insts, want %d", emu, n)
+	}
+	if len(got) != len(p.Workloads) {
+		t.Fatalf("got %d profiles, want the %d requested", len(got), len(p.Workloads))
+	}
+	for _, name := range p.Workloads {
+		if got[name] != want[name] {
+			t.Errorf("%s: FOA %v, sequential profile %v", name, got[name], want[name])
+		}
+	}
+
+	delete(got, p.Workloads[0])
+	again, err := p.foaProfiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(p.Workloads) {
+		t.Errorf("a caller's delete leaked into the shared profiles: %v", again)
+	}
+	if n := p.Runner.Stats().EmuInsts; n != emu {
+		t.Errorf("second request emulated %d more insts, want 0", n-emu)
 	}
 }

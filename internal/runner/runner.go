@@ -82,7 +82,7 @@ type Stats struct {
 	// EmuInsts counts functionally emulated instructions: fast-forward
 	// prefixes executed for checkpoint-cache misses, plus any profile work
 	// reported via AddEmuInsts (the emulator-driven characterization
-	// experiments).
+	// experiments and the FOA mix-selection profiles).
 	EmuInsts uint64
 }
 
@@ -96,6 +96,7 @@ type Engine struct {
 
 	results memo[sim.Result]
 	ckpts   memo[*ckpt.Checkpoint]
+	once    memo[any] // Once: per-engine non-simulation work
 
 	hits, misses, runs  atomic.Uint64
 	ckHits, ckMisses    atomic.Uint64
@@ -224,9 +225,20 @@ func (e *Engine) Stats() Stats {
 
 // AddEmuInsts reports functionally emulated instructions executed outside
 // the engine's own fast-forward path — the characterization experiments
-// (Figures 3 and 7) drive the emulator directly through Map and account for
-// their work here so throughput records show no degenerate zero rows.
+// (Figures 3 and 7) and the FOA mix-selection profiles drive the emulator
+// directly through Map and account for their work here, so the batch's
+// emulated-instruction count is the whole of it.
 func (e *Engine) AddEmuInsts(n uint64) { e.emuInsts.Add(n) }
+
+// Once returns key's value, computing it with fn on the first request and
+// sharing it (and its error) with every later or concurrent caller. It
+// memoizes experiment work that is not a simulation but is shared across
+// experiments — the FOA mix-selection profiles — so a batch pays for it
+// once per engine.
+func (e *Engine) Once(key string, fn func() (any, error)) (any, error) {
+	v, err, _ := e.once.do(key, fn)
+	return v, err
+}
 
 // Run executes one job (through the cache).
 func (e *Engine) Run(job Job) (sim.Result, error) {

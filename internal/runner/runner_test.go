@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/branch"
@@ -182,6 +184,37 @@ func TestMap(t *testing.T) {
 	})
 	if err == nil || err.Error() != "boom 3" {
 		t.Errorf("Map error = %v, want lowest-index boom 3", err)
+	}
+}
+
+// TestOnceComputesOncePerEngine calls Once for one key from many goroutines
+// at once: fn runs once, every caller shares its value and error, and
+// another engine computes its own.
+func TestOnceComputesOncePerEngine(t *testing.T) {
+	e := New(4)
+	var calls atomic.Int32
+	fn := func() (any, error) {
+		calls.Add(1)
+		return 42, fmt.Errorf("shared")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := e.Once("k", fn)
+			if v != 42 || err == nil || err.Error() != "shared" {
+				t.Errorf("Once = %v, %v; want 42, shared", v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("fn ran %d times on one engine, want 1", n)
+	}
+	New(1).Once("k", fn)
+	if n := calls.Load(); n != 2 {
+		t.Errorf("fn ran %d times over two engines, want 2", n)
 	}
 }
 

@@ -32,12 +32,20 @@ var parOpts = RunOpts{WarmupInsts: 2_000, MeasureInsts: 6_000}
 // runLoop is Run on the chosen clock loop: the naive reference loop when
 // naive is set, the event loop every other run takes otherwise.
 func runLoop(cfg Config, apps []string, opts RunOpts, naive bool) (Result, error) {
+	res, _, err := runLoopTicks(cfg, apps, opts, naive)
+	return res, err
+}
+
+// runLoopTicks is runLoop that also returns the system's ticked
+// core-cycles (System.TickedCycles) over warmup and measurement.
+func runLoopTicks(cfg Config, apps []string, opts RunOpts, naive bool) (Result, uint64, error) {
 	s, err := NewForRun(cfg, apps, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 	s.naive = naive
-	return runProtocol(s, opts)
+	res, err := runProtocol(s, opts)
+	return res, s.TickedCycles(), err
 }
 
 // loopName labels a runLoop leg in failure messages.
@@ -80,6 +88,49 @@ func TestLoopEquivalence(t *testing.T) {
 				t.Errorf("snapshots diverge\nnaive: %+v\nevent: %+v", naive, event)
 			}
 		})
+	}
+}
+
+// TestSchedInvariantsMix16 runs cpu.Core.CheckSched after every tick of the
+// 16-core B-Fetch mix, on both clock loops: the bitmaps the schedulers trust
+// name live entries in the matching state, and pendSettled — which lets a
+// core with only settled blocked loads sleep — counts exactly the pending
+// loads whose verdict is current. The two loops must also agree bit for bit.
+func TestSchedInvariantsMix16(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := DefaultScale(PFBFetch, len(mix16))
+	var runs [2]Result
+	for k, naive := range []bool{true, false} {
+		s, err := NewForRun(cfg, mix16, parOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.naive = naive
+		var bad error
+		checks := 0
+		s.afterTick = func(c *cpu.Core) {
+			checks++
+			if bad == nil {
+				bad = c.CheckSched()
+			}
+		}
+		res, err := runProtocol(s, parOpts)
+		if err != nil {
+			t.Fatalf("%s: %v", loopName(naive), err)
+		}
+		if bad != nil {
+			t.Fatalf("%s: %v", loopName(naive), bad)
+		}
+		if uint64(checks) != s.TickedCycles() {
+			t.Errorf("%s: checked %d ticks, TickedCycles %d", loopName(naive), checks, s.TickedCycles())
+		}
+		t.Logf("%s: %d ticked core-cycles", loopName(naive), s.TickedCycles())
+		runs[k] = res
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Error("mix16 snapshots diverge across loops")
 	}
 }
 

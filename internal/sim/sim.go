@@ -174,6 +174,11 @@ type System struct {
 	clock     uint64 //bfetch:noreset global simulation clock, monotonic across the reset
 	statsBase uint64 // clock value at the last ResetStats
 
+	// ticks counts Core.Cycle calls over the system's life: the host work
+	// the clock loop did, where Stats.Cycles counts simulated cycles. It is
+	// a work counter for benchmarks, deliberately not in Result.
+	ticks uint64 //bfetch:noreset host work counter, monotonic like clock
+
 	// Run-loop scratch state, reseeded at every Run call.
 	sched         evtHeap  //bfetch:noreset scheduler state, reseeded by Run
 	nextUncounted []uint64 //bfetch:noreset scheduler state, reseeded by Run
@@ -182,6 +187,10 @@ type System struct {
 	// naive selects runNaive, the reference loop that ticks every core every
 	// cycle. Only the equivalence tests set it; every run takes runEvent.
 	naive bool //bfetch:noreset configuration
+
+	// afterTick, when set, runs after every Core.Cycle call in both loops.
+	// Only the scheduling-invariant tests set it.
+	afterTick func(c *cpu.Core) //bfetch:noreset test hook
 }
 
 // boot is one core's starting state: a program, its memory image, and —
@@ -369,8 +378,19 @@ func (s *System) Run(instsPerCore, maxCycles uint64) error {
 func (s *System) tickCores(due []int32, now uint64) {
 	for _, i := range due {
 		s.Cores[i].Cycle(now)
+		if s.afterTick != nil {
+			s.afterTick(s.Cores[i])
+		}
 	}
+	s.ticks += uint64(len(due))
 }
+
+// TickedCycles returns the number of Core.Cycle calls the system has made
+// since it was built, across warmup and measurement: the core-cycles the
+// clock loop actually simulated, as opposed to those it skipped and
+// credited. The naive loop ticks every running core every cycle; the event
+// loop only cores with work.
+func (s *System) TickedCycles() uint64 { return s.ticks }
 
 // servicePorts replays the cycle's queued shared-level traffic in core-index
 // order (due is always ascending) — the deterministic tie-break for LLC bank

@@ -24,8 +24,8 @@ type Mix struct {
 
 // FOAProfile measures a workload's LLC reach rate: accesses that miss a
 // private L1+L2 model per kilo-instruction, measured functionally over
-// profileInsts instructions.
-func FOAProfile(w Workload, profileInsts uint64) (float64, error) {
+// profileInsts instructions. It also returns the instructions emulated.
+func FOAProfile(w Workload, profileInsts uint64) (foa float64, retired uint64, err error) {
 	prog, image := w.Build()
 	cpu := emu.New(prog, image)
 
@@ -46,23 +46,24 @@ func FOAProfile(w Workload, profileInsts uint64) (float64, error) {
 		l1.Access(cache.Request{BlockAddr: rt.EA >> 6, Kind: kind}, clock)
 	}
 	if _, err := cpu.Run(profileInsts); err != nil {
-		return 0, fmt.Errorf("workload: FOA profile of %s: %w", w.Name, err)
+		return 0, cpu.Retired, fmt.Errorf("workload: FOA profile of %s: %w", w.Name, err)
 	}
 	if cpu.Retired == 0 {
-		return 0, fmt.Errorf("workload: FOA profile of %s retired nothing", w.Name)
+		return 0, 0, fmt.Errorf("workload: FOA profile of %s retired nothing", w.Name)
 	}
-	return float64(l2.Stats.Misses) / float64(cpu.Retired) * 1000, nil
+	return float64(l2.Stats.Misses) / float64(cpu.Retired) * 1000, cpu.Retired, nil
 }
 
 type sinkLevel struct{}
 
 func (sinkLevel) Access(cache.Request, uint64) uint64 { return 0 }
 
-// FOAProfiles computes the reach rate of every workload.
+// FOAProfiles computes the reach rate of every workload, one after another.
+// The experiment harness fans the same profiles out over its runner instead.
 func FOAProfiles(profileInsts uint64) (map[string]float64, error) {
 	out := make(map[string]float64, len(registry))
 	for _, w := range All() {
-		foa, err := FOAProfile(w, profileInsts)
+		foa, _, err := FOAProfile(w, profileInsts)
 		if err != nil {
 			return nil, err
 		}

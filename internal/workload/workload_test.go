@@ -142,11 +142,11 @@ func TestFOAOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foaMcf, err := FOAProfile(mcf, probeInsts)
+	foaMcf, _, err := FOAProfile(mcf, probeInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	foaGamess, err := FOAProfile(gamess, probeInsts)
+	foaGamess, _, err := FOAProfile(gamess, probeInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
