@@ -1,21 +1,19 @@
 // Command bfetch-lint runs the repository's custom static-analysis suite
-// (internal/lint) over the module containing the working directory. The AST
-// layer (hotpath zero-allocation contract, transitive hotpath reachability,
-// concurrency discipline, determinism rules, stats-reset audit) always runs;
-// -compiler adds the compiler-witnessed layer (escape/inlining/bounds-check
+// (internal/lint) over the module containing the working directory: the
+// concurrency-discipline, determinism and stats-reset analyzers on the AST,
+// and the compiler-witnessed escape analyzer (escape/inlining/bounds-check
 // facts from `go build -gcflags='-m=2 -d=ssa/check_bce/debug=1'`, which Go's
 // build cache replays for up-to-date packages). It prints findings
 // compiler-style, in the format the GitHub problem matcher in
 // .github/bfetch-lint-matcher.json reads, and exits non-zero when any
-// survive, so `make lint` / `make lint-full` and CI can gate on it.
+// survive, so `make lint` and CI can gate on it.
 //
 // Usage:
 //
-//	bfetch-lint [-compiler]
+//	bfetch-lint
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -24,15 +22,16 @@ import (
 )
 
 func main() {
-	compiler := flag.Bool("compiler", false, "also run the compiler-witnessed escape analyzer (builds the module with -gcflags=-m=2)")
-	flag.Parse()
-
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: bfetch-lint (takes no arguments)")
+		os.Exit(2)
+	}
 	root, err := lint.FindModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	res, err := lint.RunAll(root, *compiler)
+	res, err := lint.RunAll(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -107,7 +107,9 @@ type Pred struct {
 // Strength returns how far the used counter sits from its decision boundary,
 // normalized to [0,1]; the "self counter" confidence signal.
 func (p Pred) Strength() float64 {
-	mid := float64(p.CounterMax) / 2
+	// Rounded explicitly so the halving cannot fuse into the subtraction
+	// below on targets with FMA (see Confidence.Estimate).
+	mid := float64(float64(p.CounterMax) / 2)
 	d := float64(p.Counter) - mid
 	if d < 0 {
 		d = -d

@@ -82,7 +82,10 @@ func (c *Confidence) Estimate(pc uint64, ghr GHR, pred Pred) float64 {
 	sUD := float64(c.ud[i]) / float64(c.udMax)
 	sSelf := pred.Strength()
 	composite := (sJRS + sUD + sSelf) / 3
-	return c.cfg.MinProb + (c.cfg.MaxProb-c.cfg.MinProb)*composite
+	// The explicit conversion rounds the product, so no target fuses the
+	// multiply-add (Go spec, floating-point operators): results must not
+	// depend on GOARCH.
+	return c.cfg.MinProb + float64((c.cfg.MaxProb-c.cfg.MinProb)*composite)
 }
 
 // Update trains the estimator with the outcome of one prediction.

@@ -2,10 +2,14 @@ package cpu
 
 // These tests turn the zero-allocation claim on the per-cycle kernel from a
 // benchmark observation (BenchmarkCoreCycle) into failing assertions, engine
-// by engine. The bfetch-lint hotpath analyzer enforces the same contract
-// statically; this is the dynamic witness.
+// by engine. bfetch-lint's escape analyzer checks what the compiler decided
+// about each //bfetch:hotpath function; these exact malloc counts are the
+// dynamic witness, and together with internal/sim's and internal/emu's they
+// execute every //bfetch:hotpath function that has a body.
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -170,6 +174,86 @@ func TestCycleZeroAllocCPIStack(t *testing.T) {
 				t.Errorf("CPI buckets sum to %d, want exactly Cycles = %d", total, c.Stats.Cycles)
 			}
 		})
+	}
+}
+
+// chaseProgram walks a 32-node pointer ring forever. The nodes sit 128 KB
+// apart, so they all map to one set of every cache level and LRU misses on
+// each of them, and they are linked in shuffled order, so no prefetcher
+// learns the next address. Each load waits out a DRAM miss with the younger
+// iterations blocked behind it: the core has no work and the event loop
+// skips, for every engine. The image is written before the run, so the
+// kernel touches no new page.
+func chaseProgram() (*isa.Program, *mem.Memory) {
+	const (
+		base  = uint64(0x400000)
+		span  = uint64(128 << 10)
+		nodes = 32
+	)
+	order := rand.New(rand.NewSource(1)).Perm(nodes)
+	image := mem.New()
+	for i, k := range order {
+		next := order[(i+1)%nodes]
+		image.WriteInt64(base+uint64(k)*span, int64(base+uint64(next)*span))
+	}
+	prog := isa.MustAssemble(fmt.Sprintf(`
+		movi r1, %d
+	loop:
+		ld   r1, 0(r1)
+		addi r2, r2, 1
+		jmp  loop
+	`, base+uint64(order[0])*span))
+	return prog, image
+}
+
+// TestEventStepZeroAlloc drives the core the way sim's event loop does —
+// Cycle, then NextEvent, then AddIdleCycles over the gap — so the skip path
+// (NextEvent, every engine's Idle, AddIdleCycles and, with the CPI stack,
+// chargeGap) runs under the same exact malloc count as the ticked kernel.
+func TestEventStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed by the race detector")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, cpi := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.CPIStack = cpi
+		for _, eng := range allocEngines {
+			t.Run(fmt.Sprintf("%s/cpistack=%v", eng.name, cpi), func(t *testing.T) {
+				prog, image := chaseProgram()
+				c := newAllocCoreCfg(cfg, prog, image, eng.mk)
+				var now, skipped uint64
+				step := func() {
+					c.Cycle(now)
+					next := c.NextEvent(now)
+					if next > now+1 {
+						c.AddIdleCycles(now+1, next-now-1)
+						skipped += next - now - 1
+					}
+					now = next
+				}
+				for now < 50_000 {
+					step()
+				}
+				if c.Halted() {
+					t.Fatal("core halted during warmup")
+				}
+				skipped = 0
+				if n := mallocs(2000, step); n != 0 {
+					t.Errorf("event step with %s engine: %d allocs per 2000 steps, want 0", eng.name, n)
+				}
+				if skipped == 0 {
+					t.Errorf("%s engine skipped no cycles; the witness does not reach the skip path", eng.name)
+				}
+				if cpi {
+					if total := c.Stats.CPI.Total(); total != c.Stats.Cycles {
+						t.Errorf("CPI buckets sum to %d, want exactly Cycles = %d", total, c.Stats.Cycles)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func aluProgram() (*isa.Program, *mem.Memory) {
 	return isa.MustAssemble(sb.String()), mem.New()
 }
 
-func benchWorkload(b *testing.B, name string) (*isa.Program, *mem.Memory) {
+func benchWorkload(b testing.TB, name string) (*isa.Program, *mem.Memory) {
 	if name == "alu" {
 		return aluProgram()
 	}

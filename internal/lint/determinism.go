@@ -329,3 +329,22 @@ func importNames(f *ast.File) (randName, timeName string) {
 	}
 	return randName, timeName
 }
+
+// baseIdent resolves the root identifier of an expression like x,
+// x[i:j], or (x) — nil for selector-rooted expressions.
+func baseIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch v := e.(type) {
+		case *ast.Ident:
+			return v
+		case *ast.SliceExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.ParenExpr:
+			e = v.X
+		default:
+			return nil
+		}
+	}
+}

@@ -12,8 +12,8 @@ import (
 // (facts from CollectFacts or ParseFacts):
 //
 //	(a) a //bfetch:hotpath function with a value the compiler moved or
-//	    escaped to the heap fails — //bfetch:alloc-ok on the line keeps
-//	    the same cold-path hatch the AST layer uses;
+//	    escaped to the heap fails — //bfetch:alloc-ok on the line is the
+//	    cold-path hatch;
 //	(b) a call inside a hotpath function whose callee the compiler refused
 //	    to inline fails, unless the callee is itself //bfetch:hotpath
 //	    (checked on its own terms; the big pipeline stages are deliberate
@@ -24,8 +24,9 @@ import (
 //
 // Calls the compiler witnessed as inlined ("inlining call to" at the call
 // line) pass (b) outright; calls that resolve to nothing in-module
-// (interface dispatch, func values) are outside the witness and are left to
-// the hotcall closure.
+// (interface dispatch, func values) are outside this check — their
+// implementations are hotpath roots themselves, and the malloc witnesses
+// execute them.
 func Escape(pkgs []*Package, fidx *funcIndex, facts *FactTable) []Diagnostic {
 	var out []Diagnostic
 	for _, p := range pkgs {
@@ -79,8 +80,8 @@ func checkHotEscapes(p *Package, f *ast.File, fd *ast.FuncDecl, relFile string, 
 			if fact.Kind != FactEscape {
 				continue
 			}
-			// Position the diagnostic at the fact's own line so the
-			// alloc-ok hatch works the same way as in the AST layer.
+			// Position the diagnostic at the fact's own line so an
+			// alloc-ok hatch on that line covers it.
 			pos := posOnLine(p, f, fd, fact.Line)
 			p.report(out, f, pos, "escape", "bfetch:alloc-ok",
 				"compiler: %s escapes to heap inside //bfetch:hotpath %s", fact.Name, fd.Name.Name)
@@ -102,7 +103,7 @@ func checkHotInlining(p *Package, f *ast.File, fd *ast.FuncDecl, relFile string,
 		return
 	}
 	for _, e := range fidx.edges(node) {
-		if e.safe || e.cold || e.unresolved || len(e.targets) == 0 {
+		if len(e.targets) == 0 {
 			continue
 		}
 		line := p.Fset.Position(e.pos).Line

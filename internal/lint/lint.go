@@ -1,39 +1,35 @@
-// Package lint is the repository's custom static-analysis suite: a
-// two-layer system enforcing the invariants the simulator's performance and
-// reproducibility rest on, using only the standard library (the module
-// stays dependency-free).
+// Package lint is the repository's custom static-analysis suite: it
+// enforces the invariants the simulator's performance and reproducibility
+// rest on, using only the standard library (the module stays
+// dependency-free). Four analyzers run in one gate:
 //
-// Layer 2 — whole-program AST (fast, runs on every `make lint`):
-//
-//   - hotpath: functions annotated //bfetch:hotpath (the per-cycle
-//     simulation kernel) must not contain allocating constructs.
-//   - hotcall: the transitive closure of functions reachable from a
-//     //bfetch:hotpath root must be annotated (and therefore checked) or
-//     provably trivially alloc-free — no un-annotated helper slips through.
-//   - syncorder: no channel send while a mutex is held, and lock
-//     acquisition must respect the declared //bfetch:lockorder partial
-//     order. (Copying sync types by value is go vet's copylocks check.)
+//   - syncorder: no channel send while a mutex is held. (Copying sync
+//     types by value is go vet's copylocks check.)
 //   - determinism: the simulation/experiment packages must not consult
 //     global randomness or wall clocks, and must not publish results from a
 //     map iteration without an explicit sort.
 //   - statsreset: every struct with a Reset/ResetStats method must account
 //     for all of its fields — each field is either assigned in the method or
 //     explicitly annotated //bfetch:noreset.
+//   - escape (facts.go/escape.go): runs the real compiler with -m=2 and the
+//     BCE debug stream and fails when a //bfetch:hotpath function
+//     heap-escapes a value, calls a non-inlined callee without a
+//     //bfetch:noinline-ok reason, or a //bfetch:bce loop retains a bounds
+//     check. Go's build cache replays the diagnostics of up-to-date
+//     packages, so repeat runs skip the compile.
 //
-// Layer 1 — compiler-witnessed (`make lint-full`, facts.go/escape.go):
-//
-//   - escape: runs the real compiler with -m=2 and the BCE debug stream and
-//     fails when a //bfetch:hotpath function heap-escapes a value, calls a
-//     non-inlined callee without a //bfetch:noinline-ok reason, or a
-//     //bfetch:bce loop retains a bounds check. Go's build cache replays the
-//     diagnostics of up-to-date packages, so repeat runs skip the compile.
+// The first three read the AST alone; escape reads what the compiler
+// decided. What no static check sees — an append that grows, a goroutine, a
+// conversion the compiler keeps on the stack until it does not — is left to
+// the exact malloc witnesses that execute every //bfetch:hotpath function
+// (internal/cpu, internal/sim and internal/emu alloc tests).
 //
 // Escape hatches are deliberate and auditable: //bfetch:alloc-ok,
 // //bfetch:wallclock, //bfetch:orderok and //bfetch:sync-ok suppress a
 // single finding on the same or the following line; //bfetch:noinline-ok
-// and //bfetch:coldcall require a reason string; //bfetch:noreset marks a
-// struct field as learned/configuration state that a stats reset must
-// preserve. DESIGN.md §6b–6c document the contract and annotation grammar.
+// requires a reason string; //bfetch:noreset marks a struct field as
+// learned/configuration state that a stats reset must preserve. DESIGN.md
+// §6b–6c document the contract and annotation grammar.
 package lint
 
 import (
@@ -46,9 +42,9 @@ import (
 )
 
 // AnalyzerNames lists every analyzer the suite runs, in gate order. The
-// first five are the AST layer (Run); "escape" is the compiler-witnessed
-// layer (Escape, fed by CollectFacts).
-var AnalyzerNames = []string{"hotpath", "hotcall", "syncorder", "determinism", "statsreset", "escape"}
+// first three read the AST (Run); "escape" reads the compiler's verdicts
+// (Escape, fed by CollectFacts).
+var AnalyzerNames = []string{"syncorder", "determinism", "statsreset", "escape"}
 
 // Diagnostic is one finding.
 type Diagnostic struct {
@@ -80,36 +76,32 @@ type Package struct {
 
 // determinismPkgs scopes the determinism analyzer to the module-relative
 // package directories whose output feeds recorded experiment results.
-// Hotpath and statsreset always run module-wide (they trigger only on
-// annotations/method names).
+// The other analyzers run module-wide (they trigger only on annotations,
+// reset methods and lock calls).
 var determinismPkgs = map[string]bool{
 	"internal/sim": true, "internal/harness": true, "internal/runner": true,
 	"internal/workload": true, "internal/obs": true, "internal/store": true,
 }
 
-// Run applies the AST-layer analyzers (hotpath, hotcall, syncorder,
-// determinism, statsreset) to the packages and returns the surviving
-// (unsuppressed) diagnostics sorted by position. The compiler-witnessed
-// escape analyzer is separate (CollectFacts + Escape) because it shells out
-// to the toolchain.
+// Run applies the AST analyzers (syncorder, determinism, statsreset) to the
+// packages and returns the surviving (unsuppressed) diagnostics sorted by
+// position. The compiler-witnessed escape analyzer is separate
+// (CollectFacts + Escape) because it shells out to the toolchain.
 func Run(pkgs []*Package) []Diagnostic {
 	idx := buildModuleIndex(pkgs)
-	fidx := buildFuncIndex(pkgs)
 	var out []Diagnostic
 	for _, p := range pkgs {
-		out = append(out, Hotpath(p, idx)...)
 		out = append(out, StatsReset(p)...)
 		out = append(out, SyncOrder(p)...)
 		if determinismPkgs[p.Rel] {
 			out = append(out, Determinism(p, idx)...)
 		}
 	}
-	out = append(out, Hotcall(pkgs, fidx)...)
 	sortDiags(out)
 	return out
 }
 
-// RunResult is the outcome of the full two-layer gate.
+// RunResult is the outcome of the gate.
 type RunResult struct {
 	Diags []Diagnostic
 	Ran   []string // analyzers that actually executed, in gate order
@@ -120,32 +112,27 @@ type RunResult struct {
 	Packages int
 }
 
-// RunAll loads the module at root and applies the AST layer and, when
-// compiler is true, the compiler-witnessed escape layer. An unrecognizable
-// toolchain diagnostic format degrades escape to a skip-with-warning rather
-// than an error (or a false pass).
-func RunAll(root string, compiler bool) (RunResult, error) {
+// RunAll loads the module at root and applies every analyzer. An
+// unrecognizable toolchain diagnostic format degrades escape to a
+// skip-with-warning rather than an error (or a false pass).
+func RunAll(root string) (RunResult, error) {
 	pkgs, err := LoadModule(root)
 	if err != nil {
 		return RunResult{}, err
 	}
 	res := RunResult{Packages: len(pkgs)}
 	res.Diags = Run(pkgs)
-	res.Ran = []string{"hotpath", "hotcall", "syncorder", "determinism", "statsreset"}
-	if compiler {
-		facts, ferr := CollectFacts(root, pkgs)
-		switch {
-		case errors.Is(ferr, ErrNoFacts):
-			res.Warnings = append(res.Warnings, ferr.Error())
-		case ferr != nil:
-			return res, ferr
-		default:
-			fidx := buildFuncIndex(pkgs)
-			diags := Escape(pkgs, fidx, facts)
-			res.Diags = append(res.Diags, diags...)
-			res.Ran = append(res.Ran, "escape")
-			sortDiags(res.Diags)
-		}
+	res.Ran = []string{"syncorder", "determinism", "statsreset"}
+	facts, ferr := CollectFacts(root, pkgs)
+	switch {
+	case errors.Is(ferr, ErrNoFacts):
+		res.Warnings = append(res.Warnings, ferr.Error())
+	case ferr != nil:
+		return res, ferr
+	default:
+		res.Diags = append(res.Diags, Escape(pkgs, buildFuncIndex(pkgs), facts)...)
+		res.Ran = append(res.Ran, "escape")
+		sortDiags(res.Diags)
 	}
 	return res, nil
 }
@@ -197,7 +184,7 @@ func (p *Package) markerLines(f *ast.File, marker string) map[int]bool {
 }
 
 // markerArgs returns, per line, the text following marker in f's comments
-// (e.g. the reason string of //bfetch:noinline-ok or //bfetch:coldcall).
+// (e.g. the reason string of //bfetch:noinline-ok).
 // Lines carrying the marker with no argument map to "".
 func (p *Package) markerArgs(f *ast.File, marker string) map[int]string {
 	out := make(map[int]string)
@@ -259,104 +246,47 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 
 // -------------------------------------------------------- module-wide index --
 
-// moduleIndex carries the cross-package facts analyzers need without
-// go/types: which functions return maps (so callers' map-typed variables can
-// be tracked), which take variadic any parameters (argument boxing), and
-// which named types are declared as slices or maps.
+// moduleIndex carries the cross-package facts the determinism analyzer
+// needs without go/types: which functions return maps, so callers'
+// map-typed variables can be tracked.
 type moduleIndex struct {
 	// mapResults maps "pkgbase.FuncName" and "rel|FuncName" to the indices
 	// of map-typed results in that function's result list.
 	mapResults map[string][]int
-	// variadicAny marks functions declared with a ...any / ...interface{}
-	// parameter, keyed like mapResults.
-	variadicAny map[string]bool
-	// sliceMapTypes marks named types declared as slice or map types, keyed
-	// "pkgbase.TypeName" and "rel|TypeName".
-	sliceMapTypes map[string]bool
 }
 
 func buildModuleIndex(pkgs []*Package) *moduleIndex {
-	idx := &moduleIndex{
-		mapResults:    make(map[string][]int),
-		variadicAny:   make(map[string]bool),
-		sliceMapTypes: make(map[string]bool),
-	}
+	idx := &moduleIndex{mapResults: make(map[string][]int)}
 	for _, p := range pkgs {
 		base := pkgBase(p.Rel)
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Recv != nil {
-						continue
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Recv != nil || d.Type.Results == nil {
+					continue
+				}
+				var mapIdx []int
+				i := 0
+				for _, field := range d.Type.Results.List {
+					n := len(field.Names)
+					if n == 0 {
+						n = 1
 					}
-					if hasVariadicAny(d.Type) {
-						idx.variadicAny[base+"."+d.Name.Name] = true
-						idx.variadicAny[p.Rel+"|"+d.Name.Name] = true
-					}
-					if d.Type.Results == nil {
-						continue
-					}
-					var mapIdx []int
-					i := 0
-					for _, field := range d.Type.Results.List {
-						n := len(field.Names)
-						if n == 0 {
-							n = 1
+					for k := 0; k < n; k++ {
+						if _, isMap := field.Type.(*ast.MapType); isMap {
+							mapIdx = append(mapIdx, i)
 						}
-						for k := 0; k < n; k++ {
-							if _, isMap := field.Type.(*ast.MapType); isMap {
-								mapIdx = append(mapIdx, i)
-							}
-							i++
-						}
+						i++
 					}
-					if len(mapIdx) > 0 {
-						idx.mapResults[base+"."+d.Name.Name] = mapIdx
-						idx.mapResults[p.Rel+"|"+d.Name.Name] = mapIdx
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						ts, ok := spec.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						switch t := ts.Type.(type) {
-						case *ast.MapType:
-							idx.sliceMapTypes[base+"."+ts.Name.Name] = true
-							idx.sliceMapTypes[p.Rel+"|"+ts.Name.Name] = true
-						case *ast.ArrayType:
-							if t.Len == nil {
-								idx.sliceMapTypes[base+"."+ts.Name.Name] = true
-								idx.sliceMapTypes[p.Rel+"|"+ts.Name.Name] = true
-							}
-						}
-					}
+				}
+				if len(mapIdx) > 0 {
+					idx.mapResults[base+"."+d.Name.Name] = mapIdx
+					idx.mapResults[p.Rel+"|"+d.Name.Name] = mapIdx
 				}
 			}
 		}
 	}
 	return idx
-}
-
-// hasVariadicAny reports whether the signature ends in ...any or
-// ...interface{}.
-func hasVariadicAny(ft *ast.FuncType) bool {
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return false
-	}
-	last := ft.Params.List[len(ft.Params.List)-1]
-	el, ok := last.Type.(*ast.Ellipsis)
-	if !ok {
-		return false
-	}
-	switch t := el.Elt.(type) {
-	case *ast.Ident:
-		return t.Name == "any"
-	case *ast.InterfaceType:
-		return t.Methods == nil || len(t.Methods.List) == 0
-	}
-	return false
 }
 
 func pkgBase(rel string) string {

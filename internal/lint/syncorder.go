@@ -2,42 +2,29 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"strings"
 )
 
-// SyncOrder audits the module's concurrency discipline with two checks,
-// all lexical (no go/types, no may-happen-in-parallel analysis — the rules
-// are written so a lexical over-approximation is the contract):
-//
-//  1. No channel send while a mutex is held. A send can block for
-//     arbitrarily long (an unbuffered channel is a rendezvous
-//     point); blocking inside a critical section turns a
-//     scheduling hiccup into a lock convoy, and pairing it with a receive
-//     under the same lock is a deadlock. Completion signalling under a lock
-//     should use close() (which never blocks) — the runner's singleflight
-//     entries are the house idiom. //bfetch:sync-ok <reason> suppresses a
-//     deliberate exception.
-//
-//  2. Lock acquisitions must not contradict the declared partial order.
-//     //bfetch:lockorder A < B (package scope, any file) declares that A,
-//     when held together with B, is acquired first. Acquiring A while B is
-//     held — with "A < B" declared, directly or transitively — is a
-//     deadlock-shaped inversion and is reported. Locks are named by
-//     receiver type and field path ("Engine.mu") or package-level variable
-//     name ("outMu"); unresolvable acquisition sites are ignored.
+// SyncOrder audits the module's concurrency discipline with one lexical
+// rule (no go/types, no may-happen-in-parallel analysis — the lexical
+// over-approximation is the contract): no channel send while a mutex is
+// held. A send can block for arbitrarily long (an unbuffered channel is a
+// rendezvous point); blocking inside a critical section turns a scheduling
+// hiccup into a lock convoy, and pairing it with a receive under the same
+// lock is a deadlock. Completion signalling under a lock should use close()
+// (which never blocks) — the runner's singleflight entries are the house
+// idiom. //bfetch:sync-ok <reason> suppresses a deliberate exception.
 //
 // Copying a sync type by value is left to go vet's copylocks check.
 func SyncOrder(p *Package) []Diagnostic {
 	var out []Diagnostic
-	order := collectLockOrder(p, &out)
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkLockBody(p, f, fd, order, &out)
+			checkLockBody(p, f, fd, &out)
 		}
 	}
 	return out
@@ -45,85 +32,18 @@ func SyncOrder(p *Package) []Diagnostic {
 
 // ----------------------------------------------------------- lock tracking --
 
-// lockOrder is the declared partial order: edges[a][b] means a < b (a is
-// acquired first when both are held), transitively closed.
-type lockOrder struct {
-	edges map[string]map[string]bool
-}
-
-func (o *lockOrder) before(a, b string) bool {
-	if o == nil || o.edges == nil {
-		return false
-	}
-	return o.edges[a][b]
-}
-
-// collectLockOrder parses every //bfetch:lockorder declaration in the
-// package and closes it transitively. Malformed declarations are findings:
-// a silent parse failure would silently stop enforcing the order.
-func collectLockOrder(p *Package, out *[]Diagnostic) *lockOrder {
-	o := &lockOrder{edges: make(map[string]map[string]bool)}
-	for _, f := range p.Files {
-		for line, arg := range p.markerArgs(f, "bfetch:lockorder") {
-			parts := strings.Split(arg, "<")
-			bad := len(parts) < 2
-			var chain []string
-			for _, part := range parts {
-				name := strings.TrimSpace(part)
-				if name == "" || strings.ContainsAny(name, " \t") {
-					bad = true
-					break
-				}
-				chain = append(chain, name)
-			}
-			if bad {
-				p.report(out, f, f.Pos(), "syncorder", "",
-					"line %d: malformed //bfetch:lockorder %q; want \"A < B\" or \"A < B < C\"", line, arg)
-				continue
-			}
-			for i := 0; i+1 < len(chain); i++ {
-				if o.edges[chain[i]] == nil {
-					o.edges[chain[i]] = make(map[string]bool)
-				}
-				o.edges[chain[i]][chain[i+1]] = true
-			}
-		}
-	}
-	// Transitive closure (the order sets are tiny).
-	for changed := true; changed; {
-		changed = false
-		for a, bs := range o.edges {
-			for b := range bs {
-				for c := range o.edges[b] {
-					if !o.edges[a][c] {
-						o.edges[a][c] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return o
-}
-
-// heldLock is one lexically held acquisition.
-type heldLock struct {
-	name string
-	pos  token.Pos
-}
-
 // checkLockBody walks one function body in source order, tracking the
-// lexically held lock set, flagging channel sends inside critical sections
-// and acquisition sequences that contradict the declared order.
-func checkLockBody(p *Package, f *ast.File, fd *ast.FuncDecl, order *lockOrder, out *[]Diagnostic) {
+// lexically held lock set and flagging channel sends inside critical
+// sections.
+func checkLockBody(p *Package, f *ast.File, fd *ast.FuncDecl, out *[]Diagnostic) {
 	recvName, recvType := "", ""
 	if fd.Recv != nil {
 		recvName, recvType = recvInfo(fd)
 	}
-	var held []heldLock
+	var held []string
 	release := func(name string) {
 		for i := len(held) - 1; i >= 0; i-- {
-			if held[i].name == name {
+			if held[i] == name {
 				held = append(held[:i], held[i+1:]...)
 				return
 			}
@@ -140,7 +60,7 @@ func checkLockBody(p *Package, f *ast.File, fd *ast.FuncDecl, order *lockOrder, 
 			if len(held) > 0 {
 				p.report(out, f, n.Pos(), "syncorder", "bfetch:sync-ok",
 					"channel send while holding %s: a blocked receiver stalls the critical section (use close, or send after unlocking)",
-					held[len(held)-1].name)
+					held[len(held)-1])
 			}
 		case *ast.CallExpr:
 			sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -153,14 +73,7 @@ func checkLockBody(p *Package, f *ast.File, fd *ast.FuncDecl, order *lockOrder, 
 			}
 			switch sel.Sel.Name {
 			case "Lock", "RLock":
-				for _, h := range held {
-					if order.before(name, h.name) {
-						p.report(out, f, n.Pos(), "syncorder", "bfetch:sync-ok",
-							"acquiring %s while holding %s contradicts declared lock order %s < %s",
-							name, h.name, name, h.name)
-					}
-				}
-				held = append(held, heldLock{name: name, pos: n.Pos()})
+				held = append(held, name)
 			case "Unlock", "RUnlock":
 				release(name)
 			}
@@ -170,9 +83,9 @@ func checkLockBody(p *Package, f *ast.File, fd *ast.FuncDecl, order *lockOrder, 
 }
 
 // lockName renders the owner expression of a .Lock()/.Unlock() call as a
-// stable order-declaration name: "Type.field..." for receiver-rooted
-// selector chains, the variable name for package-level/local mutexes, ""
-// when unresolvable.
+// stable name for findings: "Type.field..." for receiver-rooted selector
+// chains, the variable name for package-level/local mutexes, "" when
+// unresolvable.
 func lockName(x ast.Expr, recvName, recvType string) string {
 	var parts []string
 	for {
@@ -188,10 +101,6 @@ func lockName(x ast.Expr, recvName, recvType string) string {
 			root := v.Name
 			if v.Name == recvName && recvType != "" {
 				root = recvType
-			} else if len(parts) > 0 {
-				// Selector rooted at a non-receiver variable: name by the
-				// field path alone is ambiguous; keep the raw spelling.
-				root = v.Name
 			}
 			return strings.Join(append([]string{root}, parts...), ".")
 		default:

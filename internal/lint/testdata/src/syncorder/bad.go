@@ -1,17 +1,12 @@
 // Package syncorder is the golden fixture for the concurrency-discipline
-// analyzer: sends under locks and lock-order inversions against the declared
-// partial order.
-//
-//bfetch:lockorder server.mu < server.outMu
+// analyzer: channel sends under a held mutex.
 package syncorder
 
 import "sync"
 
 type server struct {
-	mu    sync.Mutex
-	outMu sync.Mutex
-	ch    chan int
-	n     int
+	mu sync.Mutex
+	ch chan int
 }
 
 // notify blocks inside the critical section: a slow receiver convoys every
@@ -20,13 +15,4 @@ func (s *server) notify(v int) {
 	s.mu.Lock()
 	s.ch <- v // want "channel send while holding server.mu"
 	s.mu.Unlock()
-}
-
-// inverted acquires mu under outMu, contradicting the declared order.
-func (s *server) inverted() {
-	s.outMu.Lock()
-	s.mu.Lock() // want "contradicts declared lock order server.mu < server.outMu"
-	s.n++
-	s.mu.Unlock()
-	s.outMu.Unlock()
 }

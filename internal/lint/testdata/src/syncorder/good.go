@@ -32,13 +32,3 @@ func (w *worker) urgent(v int) {
 	w.out <- v //bfetch:sync-ok buffered diagnostics channel sized for worst case
 	w.mu.Unlock()
 }
-
-// ordered nests in the declared direction (mu before outMu is fine — the
-// declaration in bad.go says server.mu < server.outMu).
-func (s *server) ordered() {
-	s.mu.Lock()
-	s.outMu.Lock()
-	s.n++
-	s.outMu.Unlock()
-	s.mu.Unlock()
-}

@@ -9,11 +9,11 @@
 // struct hand-copied into Result and re-named per table) with one contract:
 // components register metrics under canonical dotted names at assembly
 // time, and a single Snapshot()/Reset() pair covers all of them. Hot-path
-// instruments (Counter, Histogram) are fixed-slot handles whose
-// increments are allocation-free — the bfetch-lint hotpath analyzer audits
-// them like the rest of the per-cycle kernel. Cold metrics (existing stat
-// struct fields) register as Func collectors read at snapshot time, so the
-// per-cycle kernel keeps its plain field increments.
+// instruments (Counter, Histogram) are fixed-slot handles whose increments
+// are allocation-free — they are //bfetch:hotpath, checked by bfetch-lint's
+// escape analyzer like the rest of the per-cycle kernel. Cold metrics
+// (existing stat struct fields) register as Func collectors read at
+// snapshot time, so the per-cycle kernel keeps its plain field increments.
 //
 // A Registry is deliberately NOT safe for concurrent use: one Registry
 // belongs to one simulated System, which is owned by one worker goroutine
