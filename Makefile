@@ -18,8 +18,14 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, then gofmt over every Go file git tracks or would track: any file
+# gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: not formatted:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Custom static analysis (internal/lint): concurrency discipline,
 # determinism rules, stats-reset audit, and the compiler-witnessed

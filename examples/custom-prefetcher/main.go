@@ -33,10 +33,11 @@ func (p *nextTwo) OnAccess(a bfetch.AccessInfo) {
 }
 
 // AppendTick drains up to two requests per cycle into the caller's buffer,
-// like a real prefetch queue. (PrefetcherBase's Idle reports false, so the
-// event-driven clock keeps ticking this engine whenever its core runs — a
-// custom Idle override returning len(p.pending) == 0 would let the simulator
-// skip cycles while the queue is empty.)
+// like a real prefetch queue. It reads only the engine's own state, as the
+// interface requires: through a memory stall the core ticks its engine
+// ahead of the clock. (PrefetcherBase's Idle reports false, so the core
+// ticks this engine every cycle it runs — a custom Idle override returning
+// len(p.pending) == 0 would let it stop while the queue is empty.)
 func (p *nextTwo) AppendTick(dst []bfetch.PrefetchRequest, now uint64) []bfetch.PrefetchRequest {
 	n := min(2, len(p.pending))
 	dst = append(dst, p.pending[:n]...)

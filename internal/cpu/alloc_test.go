@@ -208,8 +208,9 @@ func chaseProgram() (*isa.Program, *mem.Memory) {
 
 // TestEventStepZeroAlloc drives the core the way sim's event loop does —
 // Cycle, then NextEvent, then AddIdleCycles over the gap — so the skip path
-// (NextEvent, every engine's Idle, AddIdleCycles and, with the CPI stack,
-// chargeGap) runs under the same exact malloc count as the ticked kernel.
+// (NextEvent and its engine run-ahead, every engine's Idle, AddIdleCycles
+// and, with the CPI stack, chargeGap) runs under the same exact malloc
+// count as the ticked kernel.
 func TestEventStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed by the race detector")
@@ -227,7 +228,7 @@ func TestEventStepZeroAlloc(t *testing.T) {
 				var now, skipped uint64
 				step := func() {
 					c.Cycle(now)
-					next := c.NextEvent(now)
+					next := c.NextEvent(now, NoEvent)
 					if next > now+1 {
 						c.AddIdleCycles(now+1, next-now-1)
 						skipped += next - now - 1

@@ -9,11 +9,16 @@ import "fmt"
 //     an issued load is in exactly one of inflightBM and pendBM; any other
 //     issued entry is in inflightBM; a free slot has no bit set;
 //   - pendSettled equals the number of pendBM loads with sqWait == sqGen,
-//     and none of them is at the ROB head (chargeGap relies on it).
+//     and none of them is at the ROB head (chargeGap relies on it);
+//   - no prefetch tick NextEvent ran ahead is still held: the Cycle of the
+//     cycle NextEvent returned issued it.
 //
 // It walks the whole ROB, so it is a test oracle: the sim package's loop
 // tests run it after every tick. Nothing on the simulation path calls it.
 func (c *Core) CheckSched() error {
+	if c.pfHeld {
+		return fmt.Errorf("cpu: a run-ahead prefetch tick is still held after Cycle")
+	}
 	settled := 0
 	for s := range c.rob {
 		e := &c.rob[s]

@@ -198,8 +198,11 @@ type Core struct {
 
 	// Per-cycle scratch buffer, reused so the steady-state cycle path does
 	// not allocate: pfReqs receives the prefetcher's requests in
-	// prefetchTick().
+	// prefetchTick(). pfHeld marks it as a tick NextEvent already ran ahead:
+	// the requests the engine emitted for the cycle NextEvent returned,
+	// which that cycle's prefetchTick issues instead of ticking the engine.
 	pfReqs []prefetch.Request
+	pfHeld bool
 
 	Stats Stats
 }
@@ -1045,7 +1048,11 @@ func (c *Core) fetch(now uint64) {
 
 //bfetch:hotpath
 func (c *Core) prefetchTick(now uint64) {
-	c.pfReqs = c.pf.AppendTick(c.pfReqs[:0], now)
+	if c.pfHeld {
+		c.pfHeld = false // NextEvent ticked the engine for this cycle
+	} else {
+		c.pfReqs = c.pf.AppendTick(c.pfReqs[:0], now)
+	}
 	for _, r := range c.pfReqs {
 		if c.hier.Prefetch(r.Addr, r.LoadPC, now) {
 			c.Stats.PrefetchIssued++
@@ -1062,30 +1069,36 @@ func (c *Core) prefetchTick(now uint64) {
 // off its end without HALT spins until the cycle bound either way).
 const NoEvent = ^uint64(0)
 
-// NextEvent returns the earliest cycle after now at which Cycle can do any
-// work, assuming no external state changes. The contract backing the
-// event-driven simulation loop: for every cycle t with now < t <
-// NextEvent(now), Cycle(t) would be a no-op apart from the Stats.Cycles
-// increment (and, with cfg.CPIStack, the matching one-bucket CPI charge) —
-// so a caller may skip those cycles entirely (crediting the skipped range
-// via AddIdleCycles, which replays the charges exactly) and produce
-// bit-identical results to ticking every cycle.
+// NextEvent returns the earliest cycle after now, and below horizon when
+// the prefetch engine is busy, at which Cycle can do any work, assuming no
+// external state changes. The contract backing the event-driven simulation
+// loop: for every cycle t with now < t < NextEvent(now, horizon), Cycle(t)
+// would be a no-op apart from the Stats.Cycles increment (and, with
+// cfg.CPIStack, the matching one-bucket CPI charge) — so a caller may skip
+// those cycles entirely (crediting the skipped range via AddIdleCycles,
+// which replays the charges exactly) and produce bit-identical results to
+// ticking every cycle.
 //
 // Each pipeline stage contributes its wake-up condition; anything that could
-// act on the very next cycle (ready entries, unsettled pending loads, a busy
-// prefetch engine) pins the next event to now+1.
+// act on the very next cycle (ready entries, unsettled pending loads) pins
+// the next event to now+1, and the earliest of the others is the
+// pipeline's next event P. A busy prefetch engine does not pin the core:
+// runAhead ticks it through the frozen cycles below min(P, horizon). The
+// caller sets horizon to the first cycle at which it reads counters (a
+// cycle bound or a sampling boundary), so no run-ahead drop is counted
+// early.
 //
 //bfetch:hotpath
-func (c *Core) NextEvent(now uint64) uint64 {
+func (c *Core) NextEvent(now, horizon uint64) uint64 {
 	if c.halted {
 		return NoEvent
 	}
-	// Issue has work queued, an unsettled pending load retries next cycle,
-	// and a non-idle prefetch engine ticks every cycle: no skipping. Settled
-	// loads wait on a sqGen bump, which only a store resolving (issue, from
-	// the ready bitmap), a store committing (the commit event below) or a
-	// squash (a branch completing, the in-flight events below) can cause.
-	if bmAny(c.readyBM) || c.pendUnsettled() > 0 || !c.pf.Idle() {
+	// Issue has work queued, or an unsettled pending load retries next
+	// cycle: no skipping. Settled loads wait on a sqGen bump, which only a
+	// store resolving (issue, from the ready bitmap), a store committing
+	// (the commit event below) or a squash (a branch completing, the
+	// in-flight events below) can cause.
+	if bmAny(c.readyBM) || c.pendUnsettled() > 0 {
 		return now + 1
 	}
 	next := uint64(NoEvent)
@@ -1114,7 +1127,39 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	if c.fetchPC >= 0 && c.fqN < c.cfg.FetchQueue {
 		next = min(next, max(now+1, c.fetchResumeAt))
 	}
-	return next
+	return c.runAhead(now, next, horizon)
+}
+
+// runAhead ticks a busy prefetch engine for the frozen cycles (now, end),
+// end = min(next, horizon), and returns the cycle the core must wake at.
+// Until next no hook feeds the engine and no demand access touches the
+// L1D, so each AppendTick(t) emits what it would at cycle t. A tick whose
+// requests are all L1D-resident would only be dropped by prefetchTick, so
+// its drops are counted here and the cycle stays skipped. The first tick
+// that would fill a block is held in pfReqs and its cycle returned: that
+// cycle's prefetchTick issues it at its true cycle, in the system's core
+// order. Once the engine is idle the core sleeps until next (an idle
+// engine's tick does nothing until a hook fires); otherwise until end.
+//
+//bfetch:hotpath
+func (c *Core) runAhead(now, next, horizon uint64) uint64 {
+	end := min(next, horizon)
+	for t := now + 1; ; t++ {
+		if c.pf.Idle() {
+			return next
+		}
+		if t >= end {
+			return end
+		}
+		c.pfReqs = c.pf.AppendTick(c.pfReqs[:0], t)
+		for _, r := range c.pfReqs {
+			if !c.hier.InL1(r.Addr) {
+				c.pfHeld = true
+				return t
+			}
+		}
+		c.Stats.PrefetchDropped += uint64(len(c.pfReqs))
+	}
 }
 
 // AddIdleCycles credits the skipped cycles [from, from+n): cycles the naive

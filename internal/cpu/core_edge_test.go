@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/branch"
@@ -261,30 +262,117 @@ func TestCommitWidthBound(t *testing.T) {
 	}
 }
 
-// runEventCore drives c the way sim's event loop does: tick, ask NextEvent,
-// credit the skipped cycles with AddIdleCycles, jump. It checks CheckSched
-// after every tick and counts the cycles skipped while a settled blocked
-// load was pending — the skips the pendSettled count makes possible.
-func runEventCore(t *testing.T, c *Core, maxCycles uint64) (settledSkips uint64) {
+// eventCounts is what runEventCore saw skipped and held.
+type eventCounts struct {
+	settledSkips uint64 // cycles skipped with a settled blocked load pending
+	busySkips    uint64 // cycles skipped with the prefetch engine busy
+	heldTicks    uint64 // run-ahead ticks NextEvent held for a real fill
+}
+
+// runEventCore drives c the way sim's event loop does: tick, ask NextEvent
+// with the cycle bound as the horizon, credit the skipped cycles with
+// AddIdleCycles, jump. It stops where the naive Run with the same bound
+// does: at the halt, or with exactly maxCycles counted. It checks
+// CheckSched after every tick and counts the skips pendSettled makes
+// possible (a settled blocked load pending), those NextEvent's engine
+// run-ahead makes possible (the engine busy), and the run-ahead ticks held
+// for the cycle NextEvent returned.
+func runEventCore(t *testing.T, c *Core, maxCycles uint64) eventCounts {
 	t.Helper()
-	for now := uint64(0); !c.Halted() && now < maxCycles; {
+	var n eventCounts
+	for now := uint64(0); now < maxCycles; {
 		c.Cycle(now)
 		if err := c.CheckSched(); err != nil {
 			t.Fatalf("cycle %d: %v", now, err)
 		}
-		next := c.NextEvent(now)
-		if next == NoEvent {
+		if c.Halted() {
 			break
 		}
-		if next > now+1 {
+		busy := !c.pf.Idle()
+		next := min(c.NextEvent(now, maxCycles), maxCycles)
+		if c.pfHeld {
+			n.heldTicks++
+		}
+		if gap := next - now - 1; gap > 0 {
 			if bmAny(c.pendBM) {
-				settledSkips += next - now - 1
+				n.settledSkips += gap
 			}
-			c.AddIdleCycles(now+1, next-now-1)
+			if busy {
+				n.busySkips += gap
+			}
+			c.AddIdleCycles(now+1, gap)
 		}
 		now = next
 	}
-	return settledSkips
+	return n
+}
+
+// streamProgram walks an array in 256-byte steps: independent loads that
+// miss to DRAM and fill the ROB, with a loop B-Fetch's lookahead walks
+// ahead of them, emitting blocks not yet in the L1D.
+func streamProgram() (*isa.Program, *mem.Memory) {
+	return isa.MustAssemble(`
+		movi r1, 0x400000
+	loop:
+		ld   r2, 0(r1)
+		add  r3, r3, r2
+		addi r1, r1, 256
+		jmp  loop
+	`), mem.New()
+}
+
+// TestRunAheadMatchesNaive pins NextEvent's engine run-ahead to the naive
+// clock for every engine: the event-driven run must end with the same core
+// and L1D counters (PrefetchDropped included), registers and engine state
+// as ticking every cycle. On the pointer chase the pipeline sits frozen on
+// one DRAM miss at a time, and B-Fetch's lookahead keeps its engine busy
+// through those stalls emitting resident blocks, so its run must skip busy
+// cycles: the run-ahead, not Idle, lets the core sleep. On the stream its
+// lookahead emits blocks not yet filled, so run-ahead ticks must be held
+// and issued at their own cycle.
+func TestRunAheadMatchesNaive(t *testing.T) {
+	const cycles = 60_000
+	programs := []struct {
+		name string
+		mk   func() (*isa.Program, *mem.Memory)
+	}{{"chase", chaseProgram}, {"stream", streamProgram}}
+	for _, p := range programs {
+		for _, eng := range allocEngines {
+			t.Run(p.name+"/"+eng.name, func(t *testing.T) {
+				prog, image := p.mk()
+				naive := newAllocCore(prog, image.Clone(), eng.mk)
+				if _, err := naive.Run(1<<40, cycles); err != nil {
+					t.Fatal(err)
+				}
+				event := newAllocCore(prog, image.Clone(), eng.mk)
+				n := runEventCore(t, event, cycles)
+				t.Logf("%+v; %d prefetches issued, %d dropped",
+					n, event.Stats.PrefetchIssued, event.Stats.PrefetchDropped)
+
+				if naive.Stats != event.Stats {
+					t.Errorf("stats diverge\nnaive: %+v\nevent: %+v", naive.Stats, event.Stats)
+				}
+				if naive.hier.L1D.Stats != event.hier.L1D.Stats {
+					t.Errorf("L1D stats diverge\nnaive: %+v\nevent: %+v", naive.hier.L1D.Stats, event.hier.L1D.Stats)
+				}
+				if naive.Regs() != event.Regs() {
+					t.Errorf("registers diverge\nnaive: %v\nevent: %v", naive.Regs(), event.Regs())
+				}
+				if !reflect.DeepEqual(naive.pf, event.pf) {
+					t.Errorf("%s engine state diverges", eng.name)
+				}
+				if eng.name != "bfetch" {
+					return
+				}
+				if p.name == "chase" && n.busySkips == 0 {
+					t.Error("no cycles skipped with the engine busy; the run-ahead never ran")
+				}
+				if p.name == "stream" && n.heldTicks == 0 {
+					t.Error("no run-ahead tick held; the held-fill path never ran")
+				}
+			})
+		}
+	}
 }
 
 func TestSettledLoadsLetCoreSleep(t *testing.T) {
@@ -316,7 +404,7 @@ func TestSettledLoadsLetCoreSleep(t *testing.T) {
 		t.Fatal(err)
 	}
 	event := newAllocCoreCfg(cfg, prog, image.Clone(), none)
-	skips := runEventCore(t, event, 100_000)
+	skips := runEventCore(t, event, 100_000).settledSkips
 
 	if !naive.Halted() || !event.Halted() {
 		t.Fatalf("halted: naive %v, event %v", naive.Halted(), event.Halted())

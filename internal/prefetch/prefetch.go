@@ -76,14 +76,21 @@ type Prefetcher interface {
 	// cycle to dst, and returns the extended slice. The caller owns dst and
 	// reuses it across cycles, so implementations must not retain it; the
 	// append-style contract keeps the per-cycle path allocation-free.
+	//
+	// AppendTick(now) may run ahead of the simulation clock: while its
+	// core's pipeline is frozen (no hook can fire), the core ticks the
+	// engine for the coming cycles at once and issues each cycle's requests
+	// at that cycle. So the result must depend only on the engine's own
+	// state, the inputs its hooks delivered, and now — never on a clock or
+	// structure read from elsewhere.
 	AppendTick(dst []Request, now uint64) []Request
 
 	// Idle reports whether the engine is quiescent: AppendTick would do no
 	// work and emit no requests this cycle or any future cycle until one of
-	// the On* hooks delivers new input. The simulation loop uses it to skip
-	// dead cycles, so a correct implementation must return false whenever
-	// any internal pipeline stage, sampling latch, or queue holds work.
-	// When in doubt return false — that only disables the optimization.
+	// the On* hooks delivers new input. The core uses it to stop ticking the
+	// engine, so a correct implementation must return false whenever any
+	// internal pipeline stage, sampling latch, or queue holds work. When in
+	// doubt return false — that only costs the skipped ticks.
 	Idle() bool
 
 	// ResetStats zeroes measurement counters (after warmup) without
@@ -132,11 +139,18 @@ func (None) Idle() bool { return true }
 // It deduplicates by block address against its own contents and issues a
 // fixed number of requests per cycle. Table I sizes B-Fetch's queue at 100
 // entries.
+//
+// Both stores are sized once, at construction: buf holds up to capacity
+// requests in arrival order, and set is an open-addressed hash set of the
+// pending blocks (keys block+1, so 0 marks an empty slot) with at least
+// twice capacity slots, probed linearly and kept tombstone-free by
+// backward-shift deletion. Neither grows on the per-cycle path.
 type Queue struct {
-	buf      []Request       //bfetch:noreset pending requests survive a stats reset
-	capacity int             //bfetch:noreset configuration
-	perCycle int             //bfetch:noreset configuration
-	inQ      map[uint64]bool //bfetch:noreset tracks pending requests, which survive
+	buf      []Request //bfetch:noreset pending requests survive a stats reset
+	capacity int       //bfetch:noreset configuration
+	perCycle int       //bfetch:noreset configuration
+	set      []uint64  //bfetch:noreset pending blocks, which survive with buf
+	shift    uint      //bfetch:noreset configuration: 64 - log2(len(set))
 
 	Enqueued    uint64
 	DroppedFull uint64
@@ -146,18 +160,65 @@ type Queue struct {
 // NewQueue returns a queue with the given capacity and per-cycle issue
 // limit.
 func NewQueue(capacity, perCycle int) *Queue {
+	bits := 1
+	for 1<<bits < 2*capacity {
+		bits++
+	}
 	return &Queue{
+		buf:      make([]Request, 0, capacity),
 		capacity: capacity,
 		perCycle: perCycle,
-		inQ:      make(map[uint64]bool, capacity),
+		set:      make([]uint64, 1<<bits),
+		shift:    uint(64 - bits),
 	}
+}
+
+// home is key's preferred slot in set (Fibonacci hashing: block addresses
+// are strided, so the multiply spreads them over the top bits).
+//
+//bfetch:hotpath
+func (q *Queue) home(key uint64) int { return int(key * 0x9E3779B97F4A7C15 >> q.shift) }
+
+// find returns key's slot in set, or the empty slot that ends its probe
+// sequence when key is absent.
+//
+//bfetch:hotpath
+func (q *Queue) find(key uint64) int {
+	mask := len(q.set) - 1
+	i := q.home(key)
+	for q.set[i] != 0 && q.set[i] != key {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove deletes key, which must be present, and shifts the rest of its
+// probe cluster back so every remaining key stays reachable from its home
+// without tombstones.
+//
+//bfetch:hotpath
+func (q *Queue) remove(key uint64) {
+	mask := len(q.set) - 1
+	i := q.find(key)
+	for j := (i + 1) & mask; q.set[j] != 0; j = (j + 1) & mask {
+		// The key at j may fill the hole at i only if i lies on its probe
+		// path, i.e. no further from j than its home slot is.
+		if (j-q.home(q.set[j]))&mask >= (j-i)&mask {
+			q.set[i] = q.set[j]
+			i = j
+		}
+	}
+	q.set[i] = 0
 }
 
 // Push enqueues a request, dropping it if the queue is full or a request for
 // the same block is already pending.
+//
+//bfetch:hotpath
 func (q *Queue) Push(r Request) {
-	ba := r.Addr >> 6
-	if q.inQ[ba] {
+	key := r.Addr>>6 + 1
+	i := q.find(key)
+	if q.set[i] == key {
 		q.DroppedDup++
 		return
 	}
@@ -166,7 +227,7 @@ func (q *Queue) Push(r Request) {
 		return
 	}
 	q.buf = append(q.buf, r)
-	q.inQ[ba] = true
+	q.set[i] = key
 	q.Enqueued++
 }
 
@@ -181,7 +242,7 @@ func (q *Queue) AppendPop(dst []Request) []Request {
 		n = len(q.buf)
 	}
 	for _, r := range q.buf[:n] {
-		delete(q.inQ, r.Addr>>6)
+		q.remove(r.Addr>>6 + 1)
 		dst = append(dst, r)
 	}
 	q.buf = q.buf[:copy(q.buf, q.buf[n:])]

@@ -183,27 +183,38 @@ func TestNoneIsSilent(t *testing.T) {
 	}
 }
 
-// Property: the queue never exceeds capacity and never holds two requests
-// for the same block.
+// Property: the queue never exceeds capacity, never holds two requests for
+// the same block, and its dedup set holds exactly the pending blocks, each
+// reachable from its home slot (the backward-shift deletes keep probe
+// clusters intact). The 16-slot set over thousands of blocks collides often.
 func TestQuickQueueInvariants(t *testing.T) {
 	f := func(ops []uint16) bool {
 		q := NewQueue(8, 3)
 		for _, op := range ops {
 			if op%5 == 0 {
 				q.PopCycle()
-				continue
+			} else {
+				q.Push(Request{Addr: uint64(op) * 8})
 			}
-			q.Push(Request{Addr: uint64(op) * 8})
 			if q.Len() > 8 {
 				return false
 			}
 			seen := map[uint64]bool{}
 			for _, r := range q.buf {
-				ba := r.Addr >> 6
-				if seen[ba] {
+				key := r.Addr>>6 + 1
+				if seen[key] || q.set[q.find(key)] != key {
 					return false
 				}
-				seen[ba] = true
+				seen[key] = true
+			}
+			keys := 0
+			for _, k := range q.set {
+				if k != 0 {
+					keys++
+				}
+			}
+			if keys != len(seen) {
+				return false
 			}
 		}
 		return true

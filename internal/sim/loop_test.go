@@ -137,7 +137,10 @@ func TestSchedInvariantsMix16(t *testing.T) {
 // TestLoopEquivalenceOnError checks the cycle-bound path: when a run cannot
 // reach its instruction budget, both loops must fail with the same error and
 // identical partial counters — solo, and on a 4-core banked mix where the
-// error names the furthest-lagging core.
+// error names the furthest-lagging core. The B-Fetch cases pin the bound as
+// the horizon of the engine run-ahead (cpu.Core.NextEvent): a busy engine
+// ticked past the bound would count prefetch drops the naive loop never
+// reaches; with the bound dropped from the horizon, both diverge.
 func TestLoopEquivalenceOnError(t *testing.T) {
 	cases := []struct {
 		cfg       Config
@@ -146,6 +149,8 @@ func TestLoopEquivalenceOnError(t *testing.T) {
 	}{
 		{Default(PFNone), []string{"libquantum"}, 50_000},
 		{DefaultScale(PFNone, 4), []string{"libquantum", "mcf", "milc", "lbm"}, 30_000},
+		{Default(PFBFetch), []string{"mcf"}, 20_003},
+		{DefaultScale(PFBFetch, 4), []string{"libquantum", "mcf", "milc", "lbm"}, 30_001},
 	}
 	for _, tc := range cases {
 		run := func(naive bool) (Result, error) {

@@ -359,7 +359,11 @@ func (f feedbackAdapter) PrefetchUseless(loadPC, blockAddr uint64) {
 // the paper's run-until-all-done methodology.
 //
 // The clock advances event by event (runEvent); its statistics and errors
-// are bit-identical to ticking every core every cycle (runNaive).
+// are bit-identical to ticking every core every cycle (runNaive). The one
+// exception is a run another core's architectural fault ends: cores that
+// ran their prefetch engine ahead (cpu.Core.NextEvent) may already have
+// counted drops from cycles past the fault, so the partial counters behind
+// that error differ (runProtocol discards them).
 func (s *System) Run(instsPerCore, maxCycles uint64) error {
 	target := make([]uint64, len(s.Cores))
 	for i, c := range s.Cores {
@@ -540,6 +544,10 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 		}
 		s.tickCores(due, now)
 		s.servicePorts(due)
+		// A core with a busy prefetch engine ticks it ahead of the clock
+		// (cpu.Core.NextEvent) only below the next cycle at which counters
+		// are read: the cycle bound's final flush, or a time-series sample.
+		horizon := min(limit, s.ts.NextAt())
 		faulted := -1
 		for _, i := range due {
 			c := s.Cores[i]
@@ -552,7 +560,7 @@ func (s *System) runEvent(target []uint64, limit, instsPerCore, maxCycles uint64
 			if c.Stats.Committed >= target[i] {
 				continue
 			}
-			ne := c.NextEvent(now)
+			ne := c.NextEvent(now, horizon)
 			if ne <= now {
 				ne = now + 1
 			}
